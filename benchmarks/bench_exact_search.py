@@ -1,7 +1,10 @@
 """Exact-search competitors (§6.5 / Figure 9 machinery): per-query
-latency of every layout's exact KNN on two datasets. Supports the
-EXPERIMENTS.md exact-search comparison (PDX-BOND / PDX linear scan vs
-N-ary and DSM scans)."""
+latency of every layout's exact KNN on the five ~10 k-vector stand-ins
+of the EXPERIMENTS.md exact-search table (PDX-BOND / PDX linear scan vs
+N-ary and DSM scans).
+
+Run: ``python -m pytest benchmarks/bench_exact_search.py --benchmark-only``
+"""
 import pytest
 
 from repro.core.layout import to_dsm
@@ -14,7 +17,7 @@ from repro.search.exact import (
 )
 
 K = 10
-DATASETS = ["glove50", "msong420"]
+DATASETS = ["openai1536", "gist960", "contriever768", "msong420", "glove50"]
 
 
 @pytest.fixture(scope="module", params=DATASETS)
@@ -43,9 +46,12 @@ def test_dsm_scan(benchmark, data):
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 
-def test_pdx_linear_scan(benchmark, data):
+@pytest.mark.parametrize("block_size", [None, 64], ids=["partitions", "blocks64"])
+def test_pdx_linear_scan(benchmark, data, block_size):
+    """Default exact-search partitions, and 64-vector blocks (one kernel
+    call per block: the per-call dispatch cost at low D)."""
     _, x, queries = data
-    coll = build_exact_collection(x, block_size=64)
+    coll = build_exact_collection(x, block_size=block_size)
 
     def run():
         for q in queries:

@@ -36,12 +36,14 @@ def tune_nprobe(
     max_nprobe: int,
     **search_kw,
 ) -> int:
-    """Smallest power-of-two nprobe reaching the target recall."""
+    """Smallest power-of-two nprobe reaching the target recall.
+
+    Results with fewer than k ids (the probed buckets hold < k vectors)
+    stay ragged; their missing ids count as recall misses.
+    """
     nprobe = 1
     while nprobe < max_nprobe:
-        found = np.stack(
-            [searcher.search(q, k, nprobe=nprobe, **search_kw)[0] for q in queries]
-        )
+        found = [searcher.search(q, k, nprobe=nprobe, **search_kw)[0] for q in queries]
         if vecdata.recall_at_k(found, gt_ids) >= target_recall:
             return nprobe
         nprobe *= 2

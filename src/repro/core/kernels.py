@@ -97,41 +97,31 @@ def l2_accumulate(
     block: np.ndarray,
     query: np.ndarray,
     dists: np.ndarray,
-    dim_idx: np.ndarray,
+    dim_idx: np.ndarray | range,
     positions: np.ndarray | None = None,
 ) -> None:
     """Add the squared-L2 contribution of dimensions ``dim_idx``.
 
     ``dim_idx`` is an array of dimension indices (PDX-BOND visits them in
-    query-aware order; ADSampling/BSA pass contiguous ranges). When
+    query-aware order) or a ``range`` of contiguous dimensions, which is
+    sliced instead of gathered (ADSampling/BSA steps, linear scans). When
     ``positions`` is given, only those vector slots are updated (PRUNE
     phase); otherwise all B slots are (WARMUP phase — no break-off).
     """
-    qsub = query[dim_idx]
+    if isinstance(dim_idx, range):
+        rows = slice(dim_idx.start, dim_idx.stop, dim_idx.step)
+        sub = block[rows] if positions is None else block[rows, positions]
+    else:
+        rows = dim_idx
+        # PRUNE phase: gather only (dims × positions) — never full rows.
+        sub = block[rows] if positions is None else block[np.ix_(rows, positions)]
+    # C order: ``block[rows, positions]`` comes out column-major, and
+    # einsum would then sum in another order than for the gathered form.
+    diff = np.subtract(sub, query[rows][:, None], order="C")
     if positions is None:
-        diff = block[dim_idx] - qsub[:, None]
         dists += np.einsum("db,db->b", diff, diff)
     else:
-        # PRUNE phase: gather only (dims × positions) — never full rows.
-        diff = block[np.ix_(dim_idx, positions)] - qsub[:, None]
         dists[positions] += np.einsum("db,db->b", diff, diff)
-
-
-def l1_accumulate(
-    block: np.ndarray,
-    query: np.ndarray,
-    dists: np.ndarray,
-    dim_idx: np.ndarray,
-    positions: np.ndarray | None = None,
-) -> None:
-    """L1 analogue of :func:`l2_accumulate`."""
-    qsub = query[dim_idx]
-    if positions is None:
-        dists += np.abs(block[dim_idx] - qsub[:, None]).sum(axis=0)
-    else:
-        dists[positions] += np.abs(
-            block[np.ix_(dim_idx, positions)] - qsub[:, None]
-        ).sum(axis=0)
 
 
 def l2_cumulative(block: np.ndarray, query: np.ndarray, dim_idx: np.ndarray) -> np.ndarray:
@@ -144,17 +134,6 @@ def l2_cumulative(block: np.ndarray, query: np.ndarray, dim_idx: np.ndarray) -> 
     """
     diff = block[dim_idx] - query[dim_idx, None]
     return np.cumsum(diff * diff, axis=0)
-
-
-# --------------------------------------------------------------------------
-# Horizontal partial kernel — for the N-ary Δd-stepped pruned search
-# (the paper's "SIMD-ADS" baseline): per vector, distance over a
-# contiguous dimension slice.
-# --------------------------------------------------------------------------
-
-def l2_slice_nary(vec: np.ndarray, query: np.ndarray, d0: int, d1: int) -> float:
-    diff = vec[d0:d1] - query[d0:d1]
-    return float(diff @ diff)
 
 
 METRICS_NARY = {"l2": l2_nary, "l1": l1_nary, "ip": ip_nary}

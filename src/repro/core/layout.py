@@ -40,19 +40,14 @@ class PDXBlock:
 class PDXCollection:
     """An ordered sequence of PDX blocks over one vector collection.
 
-    All full blocks share one contiguous (nblocks, D, B) buffer
-    (``stacked``; each block's ``data`` is a view into it) — PDX storage
-    is physically one dimension-major buffer per block laid out
-    back-to-back, and the shared buffer lets full linear scans run as a
-    single stacked-kernel call instead of one call per block.
+    Each block owns its (D, n) dimension-major buffer; scans visit the
+    blocks one at a time, so a kernel's temporaries stay block-sized.
     """
 
     blocks: list[PDXBlock]
     dim: int
     block_size: int
     dim_means: np.ndarray  # (D,) collection-level means (exact-search BOND)
-    stacked: np.ndarray | None = None  # (k, D, B) view over the full blocks
-    stacked_ids: np.ndarray | None = None  # ids of the stacked vectors
 
     @property
     def n(self) -> int:
@@ -67,8 +62,9 @@ def build_pdx(
 ) -> PDXCollection:
     """Partition ``data`` (N, D) row-major into PDX blocks.
 
-    Vectors keep their input order; the last block may be ragged. ``ids``
-    default to 0…N−1 (positions in ``data``).
+    Vectors keep their input order; every block gets its own (D, n)
+    buffer and the last block may be ragged. ``ids`` default to 0…N−1
+    (positions in ``data``).
     """
     n, d = data.shape
     if ids is None:
@@ -77,26 +73,13 @@ def build_pdx(
     if ids.shape != (n,):
         raise ValueError(f"ids shape {ids.shape} != ({n},)")
     blocks: list[PDXBlock] = []
-    n_full = (n // block_size) * block_size
-    stacked = stacked_ids = None
-    if n_full:
-        stacked = stack_pdx(data[:n_full], block_size)  # one shared buffer
-        stacked_ids = ids[:n_full].copy()
-        for i in range(n_full // block_size):
-            dm = stacked[i]  # contiguous view into the shared buffer
-            blocks.append(
-                PDXBlock(
-                    data=dm,
-                    ids=stacked_ids[i * block_size : (i + 1) * block_size],
-                    means=dm.mean(axis=1).astype(np.float32),
-                )
-            )
-    if n_full < n:  # ragged tail block
-        dm = np.ascontiguousarray(data[n_full:].T, dtype=np.float32)
+    for start in range(0, n, block_size):
+        stop = start + block_size
+        dm = np.ascontiguousarray(data[start:stop].T, dtype=np.float32)
         blocks.append(
             PDXBlock(
                 data=dm,
-                ids=ids[n_full:].copy(),
+                ids=ids[start:stop].copy(),
                 means=dm.mean(axis=1).astype(np.float32),
             )
         )
@@ -105,8 +88,6 @@ def build_pdx(
         dim=d,
         block_size=block_size,
         dim_means=data.mean(axis=0).astype(np.float32),
-        stacked=stacked,
-        stacked_ids=stacked_ids,
     )
 
 
@@ -131,12 +112,6 @@ def stack_pdx(data: np.ndarray, block_size: int = PDX_BLOCK_SIZE) -> np.ndarray:
     return np.ascontiguousarray(
         data.reshape(k, block_size, d).transpose(0, 2, 1), dtype=np.float32
     )
-
-
-def unstack_pdx(stacked: np.ndarray) -> np.ndarray:
-    """Invert :func:`stack_pdx` back to (N, D) row-major."""
-    k, d, b = stacked.shape
-    return np.ascontiguousarray(stacked.transpose(0, 2, 1).reshape(k * b, d))
 
 
 def to_dsm(data: np.ndarray) -> np.ndarray:

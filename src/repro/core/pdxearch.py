@@ -59,9 +59,11 @@ def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> 
 def _scan_block_full(
     block: PDXBlock, ctx: QueryContext, heap: TopK, timers: dict | None
 ) -> None:
+    # Every dimension is visited, so storage order (a slice) serves any
+    # query's dimension order.
     dists = np.zeros(block.n, dtype=np.float32)
     t0 = time.perf_counter() if timers is not None else 0.0
-    l2_accumulate(block.data, ctx.query, dists, ctx.dim_order)
+    l2_accumulate(block.data, ctx.query, dists, range(block.dim))
     if timers is not None:
         timers["distance"] = timers.get("distance", 0.0) + time.perf_counter() - t0
     heap.update(block.ids, dists)
@@ -70,6 +72,7 @@ def _scan_block_full(
 def _scan_block_pruned(
     block: PDXBlock,
     ctx: QueryContext,
+    order: np.ndarray | range,
     pruner: Pruner,
     heap: TopK,
     *,
@@ -82,7 +85,6 @@ def _scan_block_pruned(
     alive = np.ones(block.n, dtype=bool)
     positions: np.ndarray | None = None  # None => WARMUP (no break-off)
     scanned = 0
-    order = ctx.dim_order
     for step in steps:
         dims = order[scanned : scanned + step]
         scanned += len(dims)
@@ -137,6 +139,9 @@ def search_blocks(
     """Run PDXearch over a block stream, threshold propagating block to
     block through ``heap``. The stream may span multiple collections
     (IVF buckets in centroid-rank order)."""
+    order = ctx.dim_order
+    if np.array_equal(order, np.arange(len(order))):
+        order = range(len(order))  # contiguous steps: kernels slice, not gather
     for block in blocks:
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, timers)  # START phase
@@ -145,6 +150,7 @@ def search_blocks(
         _scan_block_pruned(
             block,
             ctx,
+            order,
             pruner,
             heap,
             selection_fraction=selection_fraction,
@@ -191,30 +197,17 @@ def pdxearch(
 
 
 def pdx_linear_scan(
-    coll: PDXCollection, query: np.ndarray, k: int, *, timers: dict | None = None
+    coll: PDXCollection, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline).
 
-    The full blocks live in one contiguous (k, D, B) buffer, so they are
-    scanned with a single stacked-kernel call (Algorithm 1 over every
-    block back-to-back); a ragged tail block is scanned separately.
+    Algorithm 1 over each block's own (D, n) buffer in turn, so the
+    kernel's temporaries stay block-sized; all distances are merged into
+    the top-k at once.
     """
     q = np.ascontiguousarray(query, dtype=np.float32)
     heap = TopK(k)
-    if coll.stacked is not None:
-        t0 = time.perf_counter() if timers is not None else 0.0
-        dists = l2_pdx(coll.stacked, q)
-        if timers is not None:
-            timers["distance"] = (
-                timers.get("distance", 0.0) + time.perf_counter() - t0
-            )
-        heap.update(coll.stacked_ids, dists)
-    ctx = QueryContext(query=q, dim_order=np.arange(coll.dim))
-    n_stacked = len(coll.stacked_ids) if coll.stacked_ids is not None else 0
-    covered = 0
-    for block in coll.blocks:
-        if covered < n_stacked:
-            covered += block.n
-            continue
-        _scan_block_full(block, ctx, heap, timers)
+    if coll.blocks:
+        dists = np.concatenate([l2_pdx(b.data[None], q) for b in coll.blocks])
+        heap.update(np.concatenate([b.ids for b in coll.blocks]), dists)
     return heap.result()

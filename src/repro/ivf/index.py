@@ -59,7 +59,7 @@ def build_ivf(
 def _pdx_all_distances(coll: PDXCollection, query: np.ndarray) -> np.ndarray:
     """Full PDX-kernel distances over a small collection (centroids)."""
     out = np.empty(coll.n, dtype=np.float32)
-    order = np.arange(coll.dim)
+    order = range(coll.dim)
     pos = 0
     for block in coll.blocks:
         d = np.zeros(block.n, dtype=np.float32)

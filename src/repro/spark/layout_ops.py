@@ -42,7 +42,7 @@ def vectors_to_blocks(
 ) -> DataFrame:
     """Group vectors into PDX block rows (dimension-major within block)."""
 
-    def make_block(key, pdf: pd.DataFrame) -> pd.DataFrame:
+    def make_block(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("id")
         mat = np.array(pdf["vec"].tolist(), dtype=np.float64)  # (n, D)
         dm = mat.T  # (D, n) dimension-major

@@ -40,8 +40,9 @@ def knn(
 ) -> DataFrame:
     """Top-k nearest vectors for each query over a PDX block DataFrame.
 
-    Returns ``(qid: long, id: long, dist: double)``, k rows per query,
-    ascending by distance (ties by id). ``queries`` are raw-space; the
+    Returns ``(qid: long, id: long, dist: double)``, k rows per query
+    (fewer if the table holds fewer than k vectors), ascending by
+    distance (ties by id). ``queries`` are raw-space; the
     pruner (default: exact linear scan) transforms them executor-side.
     The block table must have been built over ``pruner.transform_data``
     output (see ``layout_ops.transform_vectors``).

@@ -15,6 +15,8 @@ into Spark DataFrames (wide form feeds the DuckDB oracle at small D).
 """
 from __future__ import annotations
 
+import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +137,13 @@ def generate(
     ``sf`` scales the paper's collection size (sf=1.0 would be the full
     paper size; the default 0.002 gives a few thousand vectors). Queries
     are drawn from the same distribution but are held out of the
-    collection. Deterministic in ``(name, sf, seed)``.
+    collection. Deterministic in ``(name, sf, seed)`` in every process:
+    the generator is seeded from a CRC-32 of the name and ``seed``.
     """
     spec = DATASETS[name]
     n = max(256, int(spec.paper_n * sf))
     q = n_queries if n_queries is not None else max(10, min(100, int(spec.paper_queries * sf)))
-    rng = np.random.default_rng(abs(hash((name, seed))) % (2**32))
+    rng = np.random.default_rng([zlib.crc32(name.encode()), seed])
     all_rows = _sample(spec, n + q, rng)
     return VectorDataset(spec=spec, data=all_rows[:n], queries=all_rows[n:])
 
@@ -181,13 +184,23 @@ def ground_truth(
     return ids, np.take_along_axis(d2, ids, axis=1)
 
 
-def recall_at_k(found_ids: np.ndarray, true_ids: np.ndarray) -> float:
-    """Mean |R ∩ R̂| / k over the query set (paper §2.1)."""
-    assert found_ids.shape == true_ids.shape
-    k = found_ids.shape[1]
-    hits = [
-        len(set(f.tolist()) & set(t.tolist())) for f, t in zip(found_ids, true_ids)
-    ]
+def recall_at_k(found_ids: Sequence[np.ndarray] | np.ndarray, true_ids: np.ndarray) -> float:
+    """Mean |R ∩ R̂| / k over the query set (paper §2.1).
+
+    ``found_ids`` holds one id sequence per query and may be ragged: a
+    search whose probed buckets hold fewer than k vectors returns fewer
+    than k ids, and the missing ones count as misses.
+    """
+    true_ids = np.asarray(true_ids)
+    k = true_ids.shape[1]
+    if len(found_ids) != len(true_ids):
+        raise ValueError(f"{len(found_ids)} results for {len(true_ids)} queries")
+    hits = []
+    for f, t in zip(found_ids, true_ids):
+        f = np.asarray(f).tolist()
+        if len(f) > k:
+            raise ValueError(f"{len(f)} ids found for k={k}")
+        hits.append(len(set(f) & set(t.tolist())))
     return float(np.mean(hits) / k)
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro import vecdata
 from repro.analysis.breakdown import PHASES, ivf_breakdown, tune_nprobe
 from repro.core.pruners import PDXBond
-from repro.ivf.index import IVFPDXSearcher, build_ivf
+from repro.ivf.index import IVFIndex, IVFPDXSearcher, build_ivf
 
 
 @pytest.fixture(scope="module")
@@ -71,5 +71,23 @@ def test_tune_nprobe_reaches_target():
     index = build_ivf(ds.data, seed=0)
     s = IVFPDXSearcher(index, ds.data, PDXBond(ds.dim, order="zones"))
     nprobe = tune_nprobe(s, ds.queries, gt_ids, 10, 0.9, max_nprobe=index.nlist)
-    found = np.stack([s.search(q, 10, nprobe=nprobe)[0] for q in ds.queries])
+    found = [s.search(q, 10, nprobe=nprobe)[0] for q in ds.queries]
     assert vecdata.recall_at_k(found, gt_ids) >= 0.9
+
+
+def test_short_results_stay_ragged():
+    """nprobe=1 on a bucket of 3 vectors returns 3 ids for k=10; recall
+    counts the 7 missing ids as misses, so tuning moves on to nprobe=2."""
+    ds = vecdata.generate("glove50", sf=0.001, n_queries=1, seed=1)
+    x = ds.data
+    buckets = [np.arange(3), np.arange(3, len(x))]
+    centroids = np.stack([x[b].mean(axis=0) for b in buckets])
+    index = IVFIndex(centroids=centroids, bucket_ids=buckets)
+    s = IVFPDXSearcher(index, x, PDXBond(ds.dim, order="zones"))
+    queries = centroids  # each query probes its own bucket first
+    gt_ids, _ = vecdata.ground_truth(x, queries, 10)
+    found = [s.search(q, 10, nprobe=1)[0] for q in queries]
+    assert sorted(found[0].tolist()) == [0, 1, 2]
+    assert len(found[1]) == 10
+    assert vecdata.recall_at_k(found, gt_ids) <= 13 / 20
+    assert tune_nprobe(s, queries, gt_ids, 10, 1.0, max_nprobe=4) == 2

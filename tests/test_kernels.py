@@ -103,26 +103,25 @@ def test_l2_accumulate_positions_only_touches_positions(rng):
     assert np.all(dists[untouched] == 0)
 
 
-def test_l1_accumulate_matches_l1(rng):
-    dim = 40
-    data = random_collection(64, dim, seed=5)
-    block = build_pdx(data).blocks[0]
+@pytest.mark.parametrize("a,b", [(0, 50), (0, 2), (6, 14), (30, 50)])
+@pytest.mark.parametrize(
+    "positions", [None, np.array([0, 5, 17, 63])], ids=["warmup", "prune"]
+)
+def test_l2_accumulate_range_equals_index_array(a, b, positions, rng):
+    """A ``range`` of dimensions is sliced; it must add exactly what the
+    gathered index array adds, in WARMUP (all slots) and PRUNE
+    (``positions``)."""
+    dim = 50
+    block = build_pdx(random_collection(64, dim, seed=a * 97 + b)).blocks[0]
     q = rng.standard_normal(dim).astype(np.float32)
-    dists = np.zeros(64, dtype=np.float32)
-    kernels.l1_accumulate(block.data, q, dists, np.arange(dim))
-    np.testing.assert_allclose(dists, _ref(data, q, "l1"), rtol=2e-3, atol=1e-3)
-
-
-def test_l1_accumulate_positions(rng):
-    dim = 12
-    data = random_collection(64, dim, seed=6)
-    block = build_pdx(data).blocks[0]
-    q = rng.standard_normal(dim).astype(np.float32)
-    dists = np.zeros(64, dtype=np.float32)
-    pos = np.array([0, 63], dtype=np.int64)
-    kernels.l1_accumulate(block.data, q, dists, np.arange(dim), pos)
-    ref = _ref(data, q, "l1")
-    np.testing.assert_allclose(dists[pos], ref[pos], rtol=2e-3, atol=1e-3)
+    start = rng.random(64).astype(np.float32)
+    sliced, gathered = start.copy(), start.copy()
+    kernels.l2_accumulate(block.data, q, sliced, range(a, b), positions)
+    kernels.l2_accumulate(block.data, q, gathered, np.arange(a, b), positions)
+    np.testing.assert_array_equal(sliced, gathered)
+    if positions is not None:
+        untouched = np.setdiff1d(np.arange(64), positions)
+        np.testing.assert_array_equal(sliced[untouched], start[untouched])
 
 
 def test_l2_cumulative_last_row_is_full_distance(rng):
@@ -145,16 +144,6 @@ def test_l2_cumulative_respects_dim_order(rng):
     cum = kernels.l2_cumulative(block.data, q, order)
     first = (block.data[order[0]] - q[order[0]]) ** 2
     np.testing.assert_allclose(cum[0], first, rtol=1e-5)
-
-
-def test_l2_slice_nary(rng):
-    dim = 64
-    data = random_collection(4, dim, seed=9)
-    q = rng.standard_normal(dim).astype(np.float32)
-    whole = sum(
-        kernels.l2_slice_nary(data[0], q, d0, d0 + 16) for d0 in range(0, 64, 16)
-    )
-    np.testing.assert_allclose(whole, _ref(data[:1], q, "l2")[0], rtol=2e-3)
 
 
 def test_pdx_block_size_constant():

@@ -8,6 +8,7 @@ from repro import vecdata
 from repro.core.layout import build_pdx
 from repro.core.pdxearch import dimension_steps, pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
+from repro.search.exact import build_exact_collection
 
 SMALL = ["nytimes16", "glove50", "deep96", "sift128"]
 
@@ -40,14 +41,29 @@ def test_dimension_steps_cover_all_dims(dim):
 
 # ----------------------------------------------------------------- exactness
 
-@pytest.mark.parametrize("name", SMALL)
-def test_linear_scan_equals_ground_truth(name):
+# Partitionings: the paper's 64-vector blocks, 96 (a ragged tail on every
+# SMALL dataset), one partition, and build_exact_collection's default.
+PARTITIONINGS = [pytest.param(name, 64, id=name) for name in SMALL] + [
+    pytest.param(name, size, id=f"{name}-{size}")
+    for name in SMALL
+    for size in (96, "single", "exact-default")
+]
+
+
+@pytest.mark.parametrize("name,block_size", PARTITIONINGS)
+def test_linear_scan_equals_ground_truth(name, block_size):
     ds = vecdata.generate(name, sf=0.001, n_queries=10)
     gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries, 10)
-    coll = build_pdx(ds.data)
+    if block_size == "exact-default":
+        ids = np.arange(ds.n)
+        coll = build_exact_collection(ds.data)
+    else:
+        ids = np.arange(ds.n) + 5000  # custom ids must come back out
+        size = ds.n if block_size == "single" else block_size
+        coll = build_pdx(ds.data, ids=ids, block_size=size)
     for qi, q in enumerate(ds.queries):
-        ids, dists = pdx_linear_scan(coll, q, 10)
-        assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
+        got, dists = pdx_linear_scan(coll, q, 10)
+        assert_same_topk(got, dists, ids[gt_ids[qi]], gt_d[qi])
 
 
 @pytest.mark.parametrize("order", ["sequential", "decreasing", "means", "zones"])

@@ -1,4 +1,8 @@
 """Tests for the Table 1 dataset stand-ins and the KNN ground-truth oracle."""
+import os
+import subprocess
+import sys
+
 import duckdb
 import numpy as np
 import pytest
@@ -46,6 +50,23 @@ def test_generate_deterministic(name):
     b = vecdata.generate(name, sf=0.0005, seed=3)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(a.queries, b.queries)
+
+
+def test_generate_identical_across_processes(tmp_path):
+    """The generator seed must not depend on Python's per-process hash salt."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from repro import vecdata; ds = vecdata.generate('glove50', sf=0.001); "
+        "np.save(sys.argv[2], np.concatenate([ds.data, ds.queries]))"
+    )
+    arrays = []
+    for hashseed in ("1", "2"):
+        out = str(tmp_path / f"glove50-{hashseed}.npy")
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        subprocess.run([sys.executable, "-c", code, src, out], env=env, check=True, timeout=300)
+        arrays.append(np.load(out))
+    assert arrays[0].tobytes() == arrays[1].tobytes()
 
 
 def test_different_seeds_differ():
@@ -123,6 +144,16 @@ def test_recall_at_k():
     assert vecdata.recall_at_k(np.array([[1, 2, 3, 4]]), truth) == 1.0
     assert vecdata.recall_at_k(np.array([[1, 2, 9, 8]]), truth) == 0.5
     assert vecdata.recall_at_k(np.array([[7, 8, 9, 6]]), truth) == 0.0
+
+
+def test_recall_at_k_ragged_results_count_missing_ids_as_misses():
+    truth = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    assert vecdata.recall_at_k([np.array([1, 2]), np.array([5, 6, 7, 8])], truth) == 0.75
+    assert vecdata.recall_at_k([np.array([], dtype=np.int64), [9]], truth) == 0.0
+    with pytest.raises(ValueError):
+        vecdata.recall_at_k([np.array([1, 2, 3, 4, 5]), np.array([5])], truth)
+    with pytest.raises(ValueError):
+        vecdata.recall_at_k([np.array([1])], truth)
 
 
 def test_knn_sql_matches_ground_truth_duckdb():
