@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.kernels import l2_accumulate, l2_pdx
+from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_pdx
 from repro.core.layout import PDXBlock, PDXCollection
 from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
@@ -101,7 +101,7 @@ def _scan_block_pruned(
         if positions is None:
             pruned = pruner.prune_mask(dists, scanned, threshold, ctx)
             alive &= ~pruned
-            n_alive = int(alive.sum())
+            n_alive = np.count_nonzero(alive)
             if n_alive == 0:
                 if timers is not None:
                     timers["bounds"] = (
@@ -142,11 +142,11 @@ def search_blocks(
     order = ctx.dim_order
     if np.array_equal(order, np.arange(len(order))):
         order = range(len(order))  # contiguous steps: kernels slice, not gather
+    steps = dimension_steps(len(order), initial=initial_step, fixed=fixed_step)
     for block in blocks:
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, timers)  # START phase
             continue
-        steps = dimension_steps(block.dim, initial=initial_step, fixed=fixed_step)
         _scan_block_pruned(
             block,
             ctx,
@@ -196,18 +196,28 @@ def pdxearch(
     return heap.result()
 
 
+def _l2_block(data: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Squared L2 of ``query`` to every vector of one (D, n) block, in
+    passes of at most ``PASS_VALUES`` values."""
+    rows = max(1, PASS_VALUES // data.shape[1])
+    out = l2_pdx(data[None, :rows], query[:rows])
+    for start in range(rows, len(query), rows):
+        out += l2_pdx(data[None, start : start + rows], query[start : start + rows])
+    return out
+
+
 def pdx_linear_scan(
     coll: PDXCollection, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline).
 
-    Algorithm 1 over each block's own (D, n) buffer in turn, so the
-    kernel's temporaries stay block-sized; all distances are merged into
-    the top-k at once.
+    Algorithm 1 over each block's own (D, n) buffer in turn, a few
+    dimensions per kernel pass, so the temporaries stay small enough for
+    the L2 cache; all distances are merged into the top-k at once.
     """
     q = np.ascontiguousarray(query, dtype=np.float32)
     heap = TopK(k)
     if coll.blocks:
-        dists = np.concatenate([l2_pdx(b.data[None], q) for b in coll.blocks])
+        dists = np.concatenate([_l2_block(b.data, q) for b in coll.blocks])
         heap.update(np.concatenate([b.ids for b in coll.blocks]), dists)
     return heap.result()

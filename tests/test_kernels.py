@@ -110,18 +110,36 @@ def test_l2_accumulate_positions_only_touches_positions(rng):
 def test_l2_accumulate_range_equals_index_array(a, b, positions, rng):
     """A ``range`` of dimensions is sliced; it must add exactly what the
     gathered index array adds, in WARMUP (all slots) and PRUNE
-    (``positions``)."""
+    (``positions``). The gathered form subtracts in place, which must
+    never reach the block itself."""
     dim = 50
     block = build_pdx(random_collection(64, dim, seed=a * 97 + b)).blocks[0]
+    before = block.data.copy()
     q = rng.standard_normal(dim).astype(np.float32)
     start = rng.random(64).astype(np.float32)
     sliced, gathered = start.copy(), start.copy()
     kernels.l2_accumulate(block.data, q, sliced, range(a, b), positions)
     kernels.l2_accumulate(block.data, q, gathered, np.arange(a, b), positions)
     np.testing.assert_array_equal(sliced, gathered)
+    np.testing.assert_array_equal(block.data, before)
     if positions is not None:
         untouched = np.setdiff1d(np.arange(64), positions)
         np.testing.assert_array_equal(sliced[untouched], start[untouched])
+
+
+def test_l2_accumulate_wide_block_runs_in_passes(rng):
+    """A call over more than ``PASS_VALUES`` values runs pass by pass; both
+    forms of ``dim_idx`` still add identical sums, close to float64."""
+    n, dim = 700, 200
+    assert n * dim > 2 * kernels.PASS_VALUES  # three passes
+    data = random_collection(n, dim, seed=3)
+    block = build_pdx(data, block_size=n).blocks[0]
+    q = rng.standard_normal(dim).astype(np.float32)
+    sliced, gathered = np.zeros(n, np.float32), np.zeros(n, np.float32)
+    kernels.l2_accumulate(block.data, q, sliced, range(dim))
+    kernels.l2_accumulate(block.data, q, gathered, np.arange(dim))
+    np.testing.assert_array_equal(sliced, gathered)
+    np.testing.assert_allclose(sliced, _ref(data, q, "l2"), rtol=1e-4)
 
 
 def test_l2_cumulative_last_row_is_full_distance(rng):
