@@ -51,8 +51,11 @@ class PCAProjection:
         x = x.astype(np.float64)
         mu = x.mean(axis=0)
         xc = x - mu
-        # SVD of the (sample, D) matrix; Vt rows are principal axes.
-        _, s, vt = np.linalg.svd(xc, full_matrices=True)
+        # SVD of the (sample, D) matrix; Vt rows are principal axes. The
+        # thin SVD already gives a (D, D) Vt when the sample has at least
+        # D rows, without building the (sample, sample) U; a smaller sample
+        # needs the full one to complete the basis.
+        _, s, vt = np.linalg.svd(xc, full_matrices=len(x) < data.shape[1])
         var = np.zeros(data.shape[1])
         var[: len(s)] = (s**2) / max(1, len(x) - 1)
         return cls(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import METRICS_NARY, l2_dsm
+from repro.core.kernels import METRICS_NARY, PASS_VALUES, l2_dsm
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import PDXBond
@@ -30,8 +30,22 @@ def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
 def brute_force_nary(
     data: np.ndarray, query: np.ndarray, k: int, *, metric: str = "l2"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal linear scan (FAISS-flat style) over (N, D) row-major data."""
-    dists = METRICS_NARY[metric](data, query)
+    """Horizontal linear scan (FAISS-flat style) over (N, D) row-major data.
+
+    Rows are scanned in passes of about ``PASS_VALUES`` values (never a
+    single row), one N-ary kernel call per pass, so the kernel's
+    temporary stays in the L2 cache instead of a collection-sized buffer
+    going through the heap per query. Each row's distance is reduced on
+    its own, so the result is bit-identical to one kernel call over all
+    rows.
+    """
+    kernel = METRICS_NARY[metric]
+    # Never a lone row: past its 8192-value buffer, einsum reduces a
+    # single row in another order than a row among others. A lone last
+    # row joins the pass before it; no rows still make one empty pass.
+    rows = max(2, PASS_VALUES // data.shape[1])
+    bounds = [*range(0, max(1, len(data) - 1), rows), len(data)]
+    dists = np.concatenate([kernel(data[a:b], query) for a, b in zip(bounds, bounds[1:])])
     if metric == "ip":
         dists = -dists  # smaller-is-better convention
     return _topk(np.arange(len(data), dtype=np.int64), dists, k)

@@ -206,10 +206,12 @@ def recall_at_k(found_ids: Sequence[np.ndarray] | np.ndarray, true_ids: np.ndarr
 
 def to_spark(spark: SparkSession, data: np.ndarray) -> DataFrame:
     """Lift a collection to a DataFrame of ``(id: long, vec: array<float>)``."""
+    # Python floats of float32 values: Spark takes them with or without
+    # Arrow, and Arrow converts them faster than NumPy scalars.
     pdf = pd.DataFrame(
-        {"id": np.arange(len(data), dtype=np.int64), "vec": list(map(list, data.astype(float)))}
+        {"id": np.arange(len(data), dtype=np.int64), "vec": np.asarray(data, np.float32).tolist()}
     )
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, schema="id long, vec array<float>")
 
 
 def to_spark_wide(spark: SparkSession, data: np.ndarray) -> DataFrame:

@@ -1,12 +1,18 @@
 """Exact-search drivers on all layouts (the §6.5 competitors)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _util import assert_same_topk
 
 from repro import vecdata
+from repro.core.kernels import METRICS_NARY, PASS_VALUES
 from repro.core.layout import to_dsm
+from repro.core.pdxearch import pdx_linear_scan, pdxearch
+from repro.core.pruners import ADSampling
 from repro.search.exact import (
+    _topk,
     brute_force_dsm,
     brute_force_nary,
     build_exact_collection,
@@ -73,3 +79,53 @@ def test_topk_k_exceeds_n():
     ds = vecdata.generate("nytimes16", sf=0.001)
     ids, _ = brute_force_nary(ds.data[:7], ds.queries[0], 20)
     assert len(ids) == 7
+
+
+@pytest.mark.parametrize("metric", ["l2", "l1", "ip"])
+@pytest.mark.parametrize(
+    "n, dim",
+    [(1000, 96), (13, 10_000), (5, PASS_VALUES + 3), (3, PASS_VALUES + 3), (1, 96), (0, 96)],
+    ids=["ragged-last-pass", "lone-last-row", "wider-than-a-pass", "one-pass", "one-row", "empty"],
+)
+def test_brute_force_nary_passes_equal_one_kernel_call(metric, n, dim):
+    """Scanning rows in passes gives the distances of one kernel call over
+    all rows, bit for bit (k = n compares every distance). Past 8192
+    dimensions einsum sums a lone row in another order, so the wide cases
+    fail if a pass ever holds a single row."""
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((n, dim)).astype(np.float32)
+    q = rng.standard_normal(dim).astype(np.float32)
+    dists = METRICS_NARY[metric](data, q)
+    if metric == "ip":
+        dists = -dists
+    want_ids, want_d = _topk(np.arange(n, dtype=np.int64), dists, n)
+    ids, d = brute_force_nary(data, q, n, metric=metric)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(d, want_d)
+
+
+def test_exact_searchers_allocate_little_per_query():
+    """Every searcher works in bounded passes: none allocates more than
+    1 MB at once per query over a 10 k × 960 (38 MB) collection."""
+    ds = vecdata.generate("gist960", sf=0.01, n_queries=3, seed=0)
+    assert ds.data.shape == (10_000, 960)
+    coll = build_exact_collection(ds.data)
+    ads = ADSampling(ds.dim, seed=0)
+    ads_coll = build_exact_collection(ads.transform_data(ds.data))
+    searchers = {
+        "nary": lambda q: brute_force_nary(ds.data, q, 10),
+        "linear": lambda q: pdx_linear_scan(coll, q, 10),
+        "bond": lambda q: pdx_bond_search(coll, q, 10),
+        "ads": lambda q: pdxearch(ads_coll, q, 10, ads),
+    }
+    tracemalloc.start()
+    try:
+        for name, search in searchers.items():
+            for q in ds.queries:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                search(q)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 1 << 20, f"{name}: {peak / 2**20:.1f} MB"
+    finally:
+        tracemalloc.stop()

@@ -75,3 +75,22 @@ def test_pca_transform_single_vector_shape():
     p = PCAProjection.fit(x)
     v = p.transform(x[0])
     assert v.shape == (9,)
+
+
+def test_pca_thin_svd_equals_full_svd():
+    # More rows than D: the thin SVD's Vt is already (D, D).
+    x = random_collection(600, 24, seed=10)
+    p = PCAProjection.fit(x, sample=None)
+    xc = x.astype(np.float64) - x.astype(np.float64).mean(axis=0)
+    _, s, vt = np.linalg.svd(xc, full_matrices=True)
+    np.testing.assert_allclose(p.components, vt.astype(np.float32), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(p.explained, s**2 / (len(x) - 1), rtol=1e-12)
+
+
+def test_pca_fewer_rows_than_dims_keeps_full_basis():
+    x = random_collection(10, 30, seed=11)
+    p = PCAProjection.fit(x)
+    assert p.components.shape == (30, 30)
+    np.testing.assert_allclose(p.components @ p.components.T, np.eye(30), atol=1e-5)
+    assert p.explained.shape == (30,)
+    np.testing.assert_array_equal(p.explained[10:], 0.0)

@@ -176,6 +176,21 @@ def test_to_spark_roundtrip(spark):
     np.testing.assert_allclose(mat, ds.data[:50], rtol=1e-6)
 
 
+@pytest.mark.parametrize("arrow", ["true", "false"])
+def test_to_spark_emits_float_arrays(spark, arrow):
+    data = vecdata.generate("nytimes16", sf=0.001).data[:20]
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    before = spark.conf.get(key)
+    spark.conf.set(key, arrow)
+    try:
+        df = vecdata.to_spark(spark, data)
+        assert df.schema.simpleString() == "struct<id:bigint,vec:array<float>>"
+        back = df.orderBy("id").toPandas()
+    finally:
+        spark.conf.set(key, before)
+    np.testing.assert_array_equal(np.stack(back["vec"].to_list()), data)
+
+
 def test_to_spark_wide_columns(spark):
     ds = vecdata.generate("nytimes16", sf=0.001)
     df = vecdata.to_spark_wide(spark, ds.data[:20])
