@@ -1,8 +1,8 @@
 """IVF query runtime breakdown — the Table 7 harness (§6.4).
 
 Runs the five competitors of Table 7 (N-ary ADS, PDX ADS, N-ary BSA,
-PDX BSA, PDX BOND) over the same IVF index at a target recall, with the
-per-phase timers threaded through the searchers:
+PDX BSA, PDX BOND) over the same IVF index at a target recall, with one
+:class:`~repro.core.trace.Trace` per algorithm passed to its searches:
 
 - ``query_prep``   — pruner.prepare (query transform + dim ordering)
 - ``find_buckets`` — centroid distances + ranking
@@ -21,6 +21,7 @@ import pandas as pd
 
 from repro import vecdata
 from repro.core.pruners import ADSampling, BSA, PDXBond
+from repro.core.trace import Trace
 from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
 
 PHASES = ["distance", "find_buckets", "bounds", "query_prep"]
@@ -51,18 +52,18 @@ def tune_nprobe(
 
 
 def _run_timed(searcher, queries: np.ndarray, k: int, nprobe: int, **kw):
-    timers: dict[str, float] = {}
+    trace = Trace()
     for q in queries:
-        searcher.search(q, k, nprobe=nprobe, timers=timers, **kw)
-    return timers
+        searcher.search(q, k, nprobe=nprobe, trace=trace, **kw)
+    return trace.seconds
 
 
-def breakdown_row(name: str, timers: dict, n_queries: int) -> dict:
-    total = sum(timers.get(p, 0.0) for p in PHASES)
+def breakdown_row(name: str, seconds: dict, n_queries: int) -> dict:
+    total = sum(seconds.get(p, 0.0) for p in PHASES)
     row = {"algorithm": name, "query_time_ms": total / n_queries * 1e3}
     for p in PHASES:
-        row[f"{p}_pct"] = 100.0 * timers.get(p, 0.0) / total if total else 0.0
-        row[f"{p}_ms"] = timers.get(p, 0.0) / n_queries * 1e3
+        row[f"{p}_pct"] = 100.0 * seconds.get(p, 0.0) / total if total else 0.0
+        row[f"{p}_ms"] = seconds.get(p, 0.0) / n_queries * 1e3
     return row
 
 

@@ -20,13 +20,13 @@ dimensions are looked at when — never the pruner's semantics, so an
 exact pruner (PDX-BOND) yields exact results and an approximate one
 (ADSampling/BSA) keeps its own recall guarantees.
 
-``timers`` (optional dict) accumulates wall-clock seconds into the
-Table 7 phases: ``"distance"`` (kernel accumulation) and ``"bounds"``
-(predicate evaluation).
+``trace`` (a :class:`~repro.core.trace.Trace`, no-op by default) sums
+wall-clock seconds into the Table 7 phases: ``"query_prep"``
+(``pruner.prepare``), ``"distance"`` (kernel accumulation) and
+``"bounds"`` (predicate evaluation).
 """
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 
 import numpy as np
@@ -35,9 +35,10 @@ from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_pdx
 from repro.core.layout import PDXBlock, PDXCollection
 from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
+from repro.core.trace import NO_TRACE, Trace
 
 
-def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> list[int]:
+def dimension_steps(dim: int, *, fixed: int | None = None) -> list[int]:
     """Step sizes covering ``dim`` dimensions.
 
     Adaptive (default): 2, 4, 8, … doubling — Issue #1's fix. With
@@ -46,7 +47,7 @@ def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> 
     """
     steps: list[int] = []
     left = dim
-    step = fixed if fixed is not None else initial
+    step = fixed if fixed is not None else 2
     while left > 0:
         s = min(step, left)
         steps.append(s)
@@ -56,16 +57,13 @@ def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> 
     return steps
 
 
-def _scan_block_full(
-    block: PDXBlock, ctx: QueryContext, heap: TopK, timers: dict | None
-) -> None:
+def _scan_block_full(block: PDXBlock, ctx: QueryContext, heap: TopK, trace: Trace) -> None:
     # Every dimension is visited, so storage order (a slice) serves any
     # query's dimension order.
     dists = np.zeros(block.n, dtype=np.float32)
-    t0 = time.perf_counter() if timers is not None else 0.0
+    trace.start()
     l2_accumulate(block.data, ctx.query, dists, range(block.dim))
-    if timers is not None:
-        timers["distance"] = timers.get("distance", 0.0) + time.perf_counter() - t0
+    trace.lap("distance")
     heap.update(block.ids, dists)
 
 
@@ -78,7 +76,7 @@ def _scan_block_pruned(
     *,
     selection_fraction: float,
     steps: list[int],
-    timers: dict | None,
+    trace: Trace,
 ) -> None:
     threshold = heap.threshold
     dists = np.zeros(block.n, dtype=np.float32)
@@ -88,25 +86,17 @@ def _scan_block_pruned(
     for step in steps:
         dims = order[scanned : scanned + step]
         scanned += len(dims)
-        if timers is not None:
-            t0 = time.perf_counter()
+        trace.start()
         l2_accumulate(block.data, ctx.query, dists, dims, positions)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["distance"] = timers.get("distance", 0.0) + t1 - t0
+        trace.lap("distance")
         if scanned >= block.dim:
             break  # full distances reached; no point testing the predicate
-        if timers is not None:
-            t1 = time.perf_counter()
         if positions is None:
             pruned = pruner.prune_mask(dists, scanned, threshold, ctx)
             alive &= ~pruned
             n_alive = np.count_nonzero(alive)
             if n_alive == 0:
-                if timers is not None:
-                    timers["bounds"] = (
-                        timers.get("bounds", 0.0) + time.perf_counter() - t1
-                    )
+                trace.lap("bounds")
                 return
             if n_alive <= selection_fraction * block.n:
                 positions = np.flatnonzero(alive)
@@ -114,13 +104,9 @@ def _scan_block_pruned(
             pruned = pruner.prune_mask(dists[positions], scanned, threshold, ctx)
             positions = positions[~pruned]
             if len(positions) == 0:
-                if timers is not None:
-                    timers["bounds"] = (
-                        timers.get("bounds", 0.0) + time.perf_counter() - t1
-                    )
+                trace.lap("bounds")
                 return
-        if timers is not None:
-            timers["bounds"] = timers.get("bounds", 0.0) + time.perf_counter() - t1
+        trace.lap("bounds")
     survivors = positions if positions is not None else np.flatnonzero(alive)
     heap.update(block.ids[survivors], dists[survivors])
 
@@ -132,9 +118,8 @@ def search_blocks(
     heap: TopK,
     *,
     selection_fraction: float = 0.2,
-    initial_step: int = 2,
     fixed_step: int | None = None,
-    timers: dict | None = None,
+    trace: Trace = NO_TRACE,
 ) -> TopK:
     """Run PDXearch over a block stream, threshold propagating block to
     block through ``heap``. The stream may span multiple collections
@@ -142,10 +127,10 @@ def search_blocks(
     order = ctx.dim_order
     if np.array_equal(order, np.arange(len(order))):
         order = range(len(order))  # contiguous steps: kernels slice, not gather
-    steps = dimension_steps(len(order), initial=initial_step, fixed=fixed_step)
+    steps = dimension_steps(len(order), fixed=fixed_step)
     for block in blocks:
         if not np.isfinite(heap.threshold):
-            _scan_block_full(block, ctx, heap, timers)  # START phase
+            _scan_block_full(block, ctx, heap, trace)  # START phase
             continue
         _scan_block_pruned(
             block,
@@ -155,7 +140,7 @@ def search_blocks(
             heap,
             selection_fraction=selection_fraction,
             steps=steps,
-            timers=timers,
+            trace=trace,
         )
     return heap
 
@@ -167,9 +152,8 @@ def pdxearch(
     pruner: Pruner,
     *,
     selection_fraction: float = 0.2,
-    initial_step: int = 2,
     fixed_step: int | None = None,
-    timers: dict | None = None,
+    trace: Trace = NO_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact/approximate KNN over one PDX collection (no index).
 
@@ -177,11 +161,9 @@ def pdxearch(
     the *original* space; the pruner transforms it (the collection must
     have been built over ``pruner.transform_data`` output).
     """
-    if timers is not None:
-        t0 = time.perf_counter()
+    trace.start()
     ctx = pruner.prepare(query, coll)
-    if timers is not None:
-        timers["query_prep"] = timers.get("query_prep", 0.0) + time.perf_counter() - t0
+    trace.lap("query_prep")
     heap = TopK(k)
     search_blocks(
         coll.blocks,
@@ -189,9 +171,8 @@ def pdxearch(
         pruner,
         heap,
         selection_fraction=selection_fraction,
-        initial_step=initial_step,
         fixed_step=fixed_step,
-        timers=timers,
+        trace=trace,
     )
     return heap.result()
 

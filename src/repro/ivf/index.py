@@ -18,7 +18,6 @@ Per-algorithm searchers wrap the shared index:
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -29,6 +28,7 @@ from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import search_blocks
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
+from repro.core.trace import NO_TRACE, Trace
 from repro.ivf.kmeans import kmeans
 from repro.search.horizontal import horizontal_pruned_search
 
@@ -83,8 +83,9 @@ class IVFPDXSearcher:
         self.index = index
         self.pruner = pruner
         tdata = pruner.transform_data(data)
-        self.tcentroids = pruner.transform_data(index.centroids)
-        self._cent_coll = build_pdx(self.tcentroids, block_size=block_size)
+        self._cent_coll = build_pdx(
+            pruner.transform_data(index.centroids), block_size=block_size
+        )
         self.buckets: list[PDXCollection] = [
             build_pdx(tdata[ids], ids=ids, block_size=block_size)
             for ids in index.bucket_ids
@@ -100,22 +101,15 @@ class IVFPDXSearcher:
         k: int,
         *,
         nprobe: int,
-        selection_fraction: float = 0.2,
         fixed_step: int | None = None,
-        timers: dict | None = None,
+        trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if timers is not None:
-            t0 = time.perf_counter()
+        trace.start()
         ctx = self.pruner.prepare(query, self._meta)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["query_prep"] = timers.get("query_prep", 0.0) + t1 - t0
+        trace.lap("query_prep")
         cdists = _pdx_all_distances(self._cent_coll, ctx.query)
         probe = np.argsort(cdists, kind="stable")[:nprobe]
-        if timers is not None:
-            timers["find_buckets"] = (
-                timers.get("find_buckets", 0.0) + time.perf_counter() - t1
-            )
+        trace.lap("find_buckets")
         heap = TopK(k)
         blocks = (b for c in probe for b in self.buckets[c].blocks)
         search_blocks(
@@ -123,9 +117,8 @@ class IVFPDXSearcher:
             ctx,
             self.pruner,
             heap,
-            selection_fraction=selection_fraction,
             fixed_step=fixed_step,
-            timers=timers,
+            trace=trace,
         )
         return heap.result()
 
@@ -153,22 +146,16 @@ class IVFNarySearcher:
         nprobe: int,
         pruned: bool = True,
         delta_d: int = 32,
-        timers: dict | None = None,
+        trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
         ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT)."""
-        if timers is not None:
-            t0 = time.perf_counter()
+        trace.start()
         ctx = self.pruner.prepare(query, self._meta)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["query_prep"] = timers.get("query_prep", 0.0) + t1 - t0
+        trace.lap("query_prep")
         cdists = l2_nary(self.tcentroids, ctx.query)
         probe = np.argsort(cdists, kind="stable")[:nprobe]
-        if timers is not None:
-            timers["find_buckets"] = (
-                timers.get("find_buckets", 0.0) + time.perf_counter() - t1
-            )
+        trace.lap("find_buckets")
         heap = TopK(k)
         for c in probe:
             bdata, bids = self.buckets[c]
@@ -176,15 +163,11 @@ class IVFNarySearcher:
                 continue
             if pruned and np.isfinite(heap.threshold):
                 horizontal_pruned_search(
-                    bdata, bids, ctx, self.pruner, heap, delta_d=delta_d, timers=timers
+                    bdata, bids, ctx, self.pruner, heap, delta_d=delta_d, trace=trace
                 )
             else:
-                if timers is not None:
-                    t2 = time.perf_counter()
+                trace.start()
                 d = l2_nary(bdata, ctx.query)
-                if timers is not None:
-                    timers["distance"] = (
-                        timers.get("distance", 0.0) + time.perf_counter() - t2
-                    )
+                trace.lap("distance")
                 heap.update(bids, d)
         return heap.result()

@@ -17,6 +17,7 @@ from repro.core.kernels import METRICS_NARY, PASS_VALUES, l2_dsm
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import PDXBond
+from repro.core.trace import NO_TRACE, Trace
 
 
 def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +66,7 @@ def pdx_bond_search(
     k: int,
     *,
     order: str = "means",
-    selection_fraction: float = 0.2,
-    timers: dict | None = None,
+    trace: Trace = NO_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact PDX-BOND search over a PDX collection.
 
@@ -74,15 +74,7 @@ def pdx_bond_search(
     vectors per block) and the "distance to means" order; callers pick
     the block size when building ``coll``.
     """
-    pruner = PDXBond(coll.dim, order=order)
-    return pdxearch(
-        coll,
-        query,
-        k,
-        pruner,
-        selection_fraction=selection_fraction,
-        timers=timers,
-    )
+    return pdxearch(coll, query, k, PDXBond(coll.dim, order=order), trace=trace)
 
 
 def build_exact_collection(

@@ -11,12 +11,11 @@ shape.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
+from repro.core.trace import NO_TRACE, Trace
 
 
 def horizontal_pruned_search(
@@ -27,7 +26,7 @@ def horizontal_pruned_search(
     heap: TopK,
     *,
     delta_d: int = 32,
-    timers: dict | None = None,
+    trace: Trace = NO_TRACE,
 ) -> TopK:
     """Scan ``data`` (already in the pruner's transformed space, (N, D)
     row-major) vector-at-a-time with Δd-stepped pruning.
@@ -45,22 +44,16 @@ def horizontal_pruned_search(
         pruned = False
         for s in range(len(steps) - 1):
             d0, d1 = steps[s], steps[s + 1]
-            if timers is not None:
-                t0 = time.perf_counter()
+            trace.start()
             diff = vec[d0:d1] - q[d0:d1]
             partial += float(diff @ diff)
-            if timers is not None:
-                t1 = time.perf_counter()
-                timers["distance"] = timers.get("distance", 0.0) + t1 - t0
+            trace.lap("distance")
             if d1 >= d:
                 break
-            if timers is not None:
-                t1 = time.perf_counter()
             out = pruner.prune_mask(
                 np.array([partial], dtype=np.float32), d1, threshold, query_ctx
             )[0]
-            if timers is not None:
-                timers["bounds"] = timers.get("bounds", 0.0) + time.perf_counter() - t1
+            trace.lap("bounds")
             if out:
                 pruned = True
                 break

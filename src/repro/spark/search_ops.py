@@ -18,6 +18,7 @@ enter the partition's own top-k, a superset of the global one.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -35,8 +36,6 @@ def knn(
     queries: np.ndarray,
     k: int,
     pruner: Pruner | None = None,
-    *,
-    selection_fraction: float = 0.2,
 ) -> DataFrame:
     """Top-k nearest vectors for each query over a PDX block DataFrame.
 
@@ -58,18 +57,13 @@ def knn(
             if len(pdf) == 0:
                 continue
             blocks = rows_to_pdx_blocks(pdf)
-            meta_means = np.mean([b.means for b in blocks], axis=0).astype(np.float32)
-            meta = _Meta(meta_means)
+            meta = SimpleNamespace(
+                dim_means=np.mean([b.means for b in blocks], axis=0).astype(np.float32)
+            )
             for qi in range(len(q_arr)):
                 if ctxs[qi] is None:
                     ctxs[qi] = local_pruner.prepare(q_arr[qi], meta)
-                search_blocks(
-                    blocks,
-                    ctxs[qi],
-                    local_pruner,
-                    heaps[qi],
-                    selection_fraction=selection_fraction,
-                )
+                search_blocks(blocks, ctxs[qi], local_pruner, heaps[qi])
         rows = {"qid": [], "id": [], "dist": []}
         for qi, heap in enumerate(heaps):
             ids, dists = heap.result()
@@ -87,11 +81,3 @@ def knn(
         .where(F.col("rank") <= k)
         .drop("rank")
     )
-
-
-class _Meta:
-    """Minimal collection-metadata view for ``Pruner.prepare`` (the
-    query-aware orderings only need per-dimension means)."""
-
-    def __init__(self, dim_means: np.ndarray):
-        self.dim_means = dim_means

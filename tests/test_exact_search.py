@@ -54,14 +54,6 @@ def test_pdx_bond_exact(dataset, order):
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
-def test_bond_timers(dataset):
-    ds, _ = dataset
-    coll = build_exact_collection(ds.data, block_size=500)
-    timers = {}
-    pdx_bond_search(coll, ds.queries[0], 10, timers=timers)
-    assert timers["distance"] > 0
-
-
 @pytest.mark.parametrize("metric", ["l1", "ip"])
 def test_brute_force_other_metrics(metric):
     ds = vecdata.generate("nytimes16", sf=0.001, n_queries=5)

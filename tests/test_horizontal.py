@@ -43,18 +43,6 @@ def test_horizontal_ads_recall(ds):
     assert vecdata.recall_at_k(np.stack(found), gt_ids) >= 0.95
 
 
-def test_horizontal_timers(ds):
-    d, _ = ds
-    bond = PDXBond(d.dim, order="sequential")
-    ctx = bond.prepare(d.queries[0])
-    heap = TopK(10)
-    timers = {}
-    horizontal_pruned_search(
-        d.data[:200], np.arange(200, dtype=np.int64), ctx, bond, heap, timers=timers
-    )
-    assert timers["distance"] > 0
-
-
 def test_heap_shared_across_calls(ds):
     """Chained bucket scans must keep tightening one heap (IVF use)."""
     d, (gt_ids, gt_d) = ds

@@ -6,7 +6,7 @@ from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
-from repro.ivf.index import IVFNarySearcher, IVFPDXSearcher, build_ivf
+from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +79,34 @@ def test_nary_and_pdx_same_buckets_same_recall(setup):
     assert abs(r_pdx - r_nary) <= 0.05
 
 
-def test_search_timers(setup):
-    ds, _, index = setup
-    s = IVFPDXSearcher(index, ds.data, ADSampling(ds.dim, seed=0))
-    timers = {}
-    s.search(ds.queries[0], 10, nprobe=4, timers=timers)
-    assert timers["query_prep"] > 0
-    assert timers["find_buckets"] > 0
-    assert timers["distance"] > 0
+@pytest.mark.parametrize("kind", ["pdx", "nary-pruned", "nary-linear"])
+def test_empty_buckets(kind, setup):
+    """Every bucket gets an empty twin ranked just before it (same
+    centroid, lower index, stable ranking)."""
+    ds, (gt_ids, gt_d), index = setup
+    empty = np.empty(0, dtype=np.int64)
+    twinned = IVFIndex(
+        centroids=np.repeat(index.centroids, 2, axis=0),
+        bucket_ids=[b for ids in index.bucket_ids for b in (empty, ids)],
+    )
+    bond = PDXBond(ds.dim, order="zones")
+    if kind == "pdx":
+        s = IVFPDXSearcher(twinned, ds.data, bond)
+        search = s.search
+    else:
+        s = IVFNarySearcher(twinned, ds.data, bond)
+        search = lambda q, k, nprobe: s.search(q, k, nprobe=nprobe, pruned=kind == "nary-pruned")
+    bucket_of = np.empty(ds.n, dtype=np.int64)
+    for c, ids in enumerate(index.bucket_ids):
+        bucket_of[ids] = c
+    for qi, q in enumerate(ds.queries):
+        assert len(search(q, 10, nprobe=1)[0]) == 0
+        ids, _ = search(q, 10, nprobe=2)
+        bucket = np.unique(bucket_of[ids])
+        assert len(bucket) == 1
+        assert len(ids) == min(10, len(index.bucket_ids[bucket[0]]))
+        ids, dists = search(q, 10, nprobe=twinned.nlist)
+        assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
 def test_fixed_step_search_works(setup):

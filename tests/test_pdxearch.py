@@ -9,6 +9,7 @@ from repro.core.layout import build_pdx
 from repro.core.pdxearch import dimension_steps, pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
 from repro.search.exact import build_exact_collection
+from repro.vecdata import random_collection
 
 SMALL = ["nytimes16", "glove50", "deep96", "sift128"]
 
@@ -154,17 +155,26 @@ def test_linear_pruner_in_framework_is_exact(glove):
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
-# -------------------------------------------------------------------- timers
-
-def test_timers_populated(glove):
-    ds, _ = glove
-    bond = PDXBond(ds.dim, order="means")
-    coll = build_pdx(ds.data)
-    timers = {}
-    pdxearch(coll, ds.queries[0], 10, bond, timers=timers)
-    assert timers["distance"] > 0
-    assert "query_prep" in timers
-    assert timers.get("bounds", 0.0) >= 0.0
+@pytest.mark.parametrize("kind", ["linear", "bond", "ads", "bsa"])
+def test_one_dimension(kind):
+    """D = 1: the first step reaches the full distance, so no predicate
+    runs; exact pruners equal brute force and ADS/BSA return k ids."""
+    data = random_collection(300, 1, seed=3)
+    queries = random_collection(5, 1, seed=4)
+    gt_ids, gt_d = vecdata.ground_truth(data, queries, 10)
+    pruner = {
+        "linear": lambda: Pruner(1),
+        "bond": lambda: PDXBond(1, order="means"),
+        "ads": lambda: ADSampling(1, seed=0),
+        "bsa": lambda: BSA(1).fit(data),
+    }[kind]()
+    coll = build_pdx(pruner.transform_data(data))
+    for qi, q in enumerate(queries):
+        ids, dists = pdxearch(coll, q, 10, pruner)
+        if pruner.exact:
+            assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
+        else:
+            assert len(np.unique(ids)) == 10
 
 
 def test_k_larger_than_collection(glove):
