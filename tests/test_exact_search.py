@@ -11,6 +11,7 @@ from repro.core.kernels import METRICS_NARY, PASS_VALUES
 from repro.core.layout import to_dsm
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling
+from repro.core.trace import Trace
 from repro.search.exact import (
     _topk,
     brute_force_dsm,
@@ -52,6 +53,14 @@ def test_pdx_bond_exact(dataset, order):
     for qi, q in enumerate(ds.queries):
         ids, dists = pdx_bond_search(coll, q, 10, order=order)
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
+
+
+def test_bond_timers(dataset):
+    ds, _ = dataset
+    coll = build_exact_collection(ds.data, block_size=500)
+    trace = Trace()
+    pdx_bond_search(coll, ds.queries[0], 10, trace=trace)
+    assert trace.seconds["distance"] > 0
 
 
 @pytest.mark.parametrize("metric", ["l1", "ip"])

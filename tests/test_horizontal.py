@@ -7,6 +7,7 @@ from _util import assert_same_topk
 from repro import vecdata
 from repro.core.pruners import ADSampling, PDXBond
 from repro.core.topk import TopK
+from repro.core.trace import Trace
 from repro.search.horizontal import horizontal_pruned_search
 
 
@@ -41,6 +42,18 @@ def test_horizontal_ads_recall(ds):
         horizontal_pruned_search(t, ids_all, ctx, ads, heap, delta_d=16)
         found.append(heap.result()[0])
     assert vecdata.recall_at_k(np.stack(found), gt_ids) >= 0.95
+
+
+def test_horizontal_timers(ds):
+    d, _ = ds
+    bond = PDXBond(d.dim, order="sequential")
+    ctx = bond.prepare(d.queries[0])
+    heap = TopK(10)
+    trace = Trace()
+    horizontal_pruned_search(
+        d.data[:200], np.arange(200, dtype=np.int64), ctx, bond, heap, trace=trace
+    )
+    assert trace.seconds["distance"] > 0
 
 
 def test_heap_shared_across_calls(ds):

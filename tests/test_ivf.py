@@ -6,6 +6,7 @@ from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
+from repro.core.trace import Trace
 from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
 
 
@@ -77,6 +78,16 @@ def test_nary_and_pdx_same_buckets_same_recall(setup):
     r_pdx = vecdata.recall_at_k(f_pdx, gt_ids)
     r_nary = vecdata.recall_at_k(f_nary, gt_ids)
     assert abs(r_pdx - r_nary) <= 0.05
+
+
+def test_search_timers(setup):
+    ds, _, index = setup
+    s = IVFPDXSearcher(index, ds.data, ADSampling(ds.dim, seed=0))
+    trace = Trace()
+    s.search(ds.queries[0], 10, nprobe=4, trace=trace)
+    assert trace.seconds["query_prep"] > 0
+    assert trace.seconds["find_buckets"] > 0
+    assert trace.seconds["distance"] > 0
 
 
 @pytest.mark.parametrize("kind", ["pdx", "nary-pruned", "nary-linear"])

@@ -8,6 +8,7 @@ from repro import vecdata
 from repro.core.layout import build_pdx
 from repro.core.pdxearch import dimension_steps, pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
+from repro.core.trace import Trace
 from repro.search.exact import build_exact_collection
 from repro.vecdata import random_collection
 
@@ -153,6 +154,19 @@ def test_linear_pruner_in_framework_is_exact(glove):
     for qi, q in enumerate(ds.queries[:10]):
         ids, dists = pdxearch(coll, q, 10, lin)
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
+
+
+# -------------------------------------------------------------------- timers
+
+def test_timers_populated(glove):
+    ds, _ = glove
+    bond = PDXBond(ds.dim, order="means")
+    coll = build_pdx(ds.data)
+    trace = Trace()
+    pdxearch(coll, ds.queries[0], 10, bond, trace=trace)
+    assert trace.seconds["distance"] > 0
+    assert "query_prep" in trace.seconds
+    assert trace.seconds.get("bounds", 0.0) >= 0.0
 
 
 @pytest.mark.parametrize("kind", ["linear", "bond", "ads", "bsa"])
