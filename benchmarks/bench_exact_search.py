@@ -46,12 +46,19 @@ def test_dsm_scan(benchmark, data):
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("block_size", [None, 64], ids=["partitions", "blocks64"])
-def test_pdx_linear_scan(benchmark, data, block_size):
-    """Default exact-search partitions, and 64-vector blocks (one kernel
-    call per block: the per-call dispatch cost at low D)."""
+# Exact-search collections: the default growing units ("partitions"),
+# 16 equal partitions with the same START prefix (so one run compares
+# equal and growing units) and 64-vector blocks (one kernel call per
+# block: the per-call dispatch cost at low D).
+def _exact_collection(x, case):
+    block_size = {"partitions": None, "uniform": len(x) // 16, "blocks64": 64}[case]
+    return build_exact_collection(x, block_size=block_size)
+
+
+@pytest.mark.parametrize("case", ["partitions", "uniform", "blocks64"])
+def test_pdx_linear_scan(benchmark, data, case):
     _, x, queries = data
-    coll = build_exact_collection(x, block_size=block_size)
+    coll = _exact_collection(x, case)
 
     def run():
         for q in queries:
@@ -60,9 +67,10 @@ def test_pdx_linear_scan(benchmark, data, block_size):
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 
-def test_pdx_bond(benchmark, data):
+@pytest.mark.parametrize("case", ["partitions", "uniform"])
+def test_pdx_bond(benchmark, data, case):
     _, x, queries = data
-    coll = build_exact_collection(x)
+    coll = _exact_collection(x, case)
 
     def run():
         for q in queries:

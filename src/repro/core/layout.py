@@ -12,6 +12,7 @@ collection-level dimension means.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,6 @@ class PDXCollection:
 
     blocks: list[PDXBlock]
     dim: int
-    block_size: int
     dim_means: np.ndarray  # (D,) collection-level means (exact-search BOND)
 
     @property
@@ -58,23 +58,29 @@ def build_pdx(
     data: np.ndarray,
     ids: np.ndarray | None = None,
     *,
-    block_size: int = PDX_BLOCK_SIZE,
+    block_size: int | Sequence[int] = PDX_BLOCK_SIZE,
 ) -> PDXCollection:
     """Partition ``data`` (N, D) row-major into PDX blocks.
 
-    Vectors keep their input order; every block gets its own (D, n)
-    buffer and the last block may be ragged. ``ids`` default to 0…N−1
-    (positions in ``data``).
+    ``block_size`` is one size, for equal blocks of which the last may be
+    ragged, or the size of each block in turn, summing to N. Vectors keep
+    their input order; every block gets its own (D, n) buffer. ``ids``
+    default to 0…N−1 (positions in ``data``).
     """
     n, d = data.shape
+    if np.ndim(block_size) == 0:
+        block_size = [min(block_size, n - start) for start in range(0, n, block_size)]
+    if sum(block_size) != n:
+        raise ValueError(f"block sizes sum to {sum(block_size)} != {n}")
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
         raise ValueError(f"ids shape {ids.shape} != ({n},)")
     blocks: list[PDXBlock] = []
-    for start in range(0, n, block_size):
-        stop = start + block_size
+    stop = 0
+    for size in block_size:
+        start, stop = stop, stop + size
         dm = np.ascontiguousarray(data[start:stop].T, dtype=np.float32)
         blocks.append(
             PDXBlock(
@@ -86,7 +92,6 @@ def build_pdx(
     return PDXCollection(
         blocks=blocks,
         dim=d,
-        block_size=block_size,
         dim_means=data.mean(axis=0).astype(np.float32),
     )
 

@@ -70,9 +70,9 @@ def pdx_bond_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact PDX-BOND search over a PDX collection.
 
-    For exact search the paper uses large horizontal partitions (≤10 k
-    vectors per block) and the "distance to means" order; callers pick
-    the block size when building ``coll``.
+    For exact search the paper scans horizontal partitions of ≤10 k
+    vectors with the "distance to means" order; build ``coll`` with
+    :func:`build_exact_collection` for that layout.
     """
     return pdxearch(coll, query, k, PDXBond(coll.dim, order=order), trace=trace)
 
@@ -80,14 +80,24 @@ def pdx_bond_search(
 def build_exact_collection(
     data: np.ndarray, *, block_size: int | None = None
 ) -> PDXCollection:
-    """PDX collection for exact search: equally sized horizontal
-    partitions of at most 10 k vectors (paper §6.5).
+    """PDX collection for exact search, in units that grow.
 
-    The default scales with the collection so the first block — scanned
-    fully by PDXearch's START phase to seed the threshold — stays "a
-    small percentage of all data" (§4) even at reproduction scale: the
-    paper's fixed 10 k is ~1 % of its 1M-vector collections.
+    The first unit, scanned fully by PDXearch's START phase to seed the
+    threshold, holds 1/16 of the collection (64 to 10 k vectors), so it
+    stays "a small percentage of all data" (§4) even at reproduction
+    scale (the paper's fixed 10 k is ~1 % of its 1M-vector collections).
+    Each later unit holds as many vectors as all units before it,
+    capped at 10 k (§6.5) and at what is left: 625, 625, 1250, 2500,
+    5000 for 10 k vectors, and 10 k each from 160 k vectors on. Few,
+    large units keep a query's kernel and predicate calls few, while the
+    threshold still passes from unit to unit. ``block_size`` builds
+    equal partitions of that many vectors instead.
     """
     if block_size is None:
-        block_size = int(np.clip(len(data) // 16, 64, 10_000))
+        block_size = []
+        done, size = 0, int(np.clip(len(data) // 16, 64, 10_000))
+        while done < len(data):
+            block_size.append(min(size, len(data) - done))
+            done += block_size[-1]
+            size = min(done, 10_000)
     return build_pdx(data, block_size=block_size)

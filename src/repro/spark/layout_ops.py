@@ -82,15 +82,13 @@ def transform_vectors(df: DataFrame, pruner: Pruner) -> DataFrame:
 def rows_to_pdx_blocks(pdf: pd.DataFrame) -> list[PDXBlock]:
     """Reconstruct executor-side :class:`PDXBlock`s from block rows."""
     blocks = []
-    for _, row in pdf.iterrows():
-        n = int(row["n"])
-        data = np.asarray(row["data"], dtype=np.float32)
-        dim = len(data) // n
+    for n, data, ids, means in zip(pdf["n"], pdf["data"], pdf["ids"], pdf["means"]):
+        data = np.asarray(data, dtype=np.float32)
         blocks.append(
             PDXBlock(
-                data=np.ascontiguousarray(data.reshape(dim, n)),
-                ids=np.asarray(row["ids"], dtype=np.int64),
-                means=np.asarray(row["means"], dtype=np.float32),
+                data=np.ascontiguousarray(data.reshape(len(data) // n, n)),
+                ids=np.asarray(ids, dtype=np.int64),
+                means=np.asarray(means, dtype=np.float32),
             )
         )
     return blocks

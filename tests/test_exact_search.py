@@ -55,6 +55,38 @@ def test_pdx_bond_exact(dataset, order):
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
+@pytest.mark.parametrize("order", ["means", "zones", "decreasing"])
+def test_pdx_bond_exact_default_units(dataset, order):
+    """The default growing units; on sift128's 1000 vectors they are
+    ragged: 64, 64, 128, 256, 488."""
+    ds, (gt_ids, gt_d) = dataset
+    coll = build_exact_collection(ds.data)
+    for qi, q in enumerate(ds.queries):
+        ids, dists = pdx_bond_search(coll, q, 10, order=order)
+        assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
+
+
+def test_exact_collection_units_double():
+    """The first unit holds 1/16 of the collection (64 to 10 k vectors);
+    each later one as many as all before it, up to 10 k and the rest."""
+    cases = {
+        10_000: [625, 625, 1250, 2500, 5000],
+        2048: [128, 128, 256, 512, 1024],
+        1000: [64, 64, 128, 256, 488],
+        100: [64, 36],
+        1: [1],
+        160_000: [10_000] * 16,
+    }
+    for n, sizes in cases.items():
+        data = np.arange(n, dtype=np.float32)[:, None]
+        coll = build_exact_collection(data)
+        assert [b.n for b in coll.blocks] == sizes, n
+        ids = np.concatenate([b.ids for b in coll.blocks])
+        np.testing.assert_array_equal(ids, np.arange(n))
+        values = np.concatenate([b.data[0] for b in coll.blocks])
+        np.testing.assert_array_equal(values, data[:, 0])
+
+
 def test_bond_timers(dataset):
     ds, _ = dataset
     coll = build_exact_collection(ds.data, block_size=500)

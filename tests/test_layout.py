@@ -26,6 +26,17 @@ def test_block_shapes_and_contiguity():
         assert b.data.dtype == np.float32
 
 
+def test_block_sizes_given_in_turn():
+    data = random_collection(100, 3, seed=0)
+    coll = layout.build_pdx(data, ids=np.arange(100) + 7, block_size=[10, 30, 60])
+    assert [b.n for b in coll.blocks] == [10, 30, 60]
+    back, ids = layout.to_nary(coll)
+    np.testing.assert_array_equal(back, data)
+    np.testing.assert_array_equal(ids, np.arange(100) + 7)
+    with pytest.raises(ValueError, match="sum to 99"):
+        layout.build_pdx(data, block_size=[10, 89])
+
+
 def test_dimension_major_within_block():
     data = random_collection(64, 5, seed=1)
     b = layout.build_pdx(data).blocks[0]

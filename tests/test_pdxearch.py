@@ -44,7 +44,8 @@ def test_dimension_steps_cover_all_dims(dim):
 # ----------------------------------------------------------------- exactness
 
 # Partitionings: the paper's 64-vector blocks, 96 (a ragged tail on every
-# SMALL dataset), one partition, and build_exact_collection's default.
+# SMALL dataset), one partition, and build_exact_collection's default
+# growing units (ragged on sift128's 1000 vectors: 64, 64, 128, 256, 488).
 PARTITIONINGS = [pytest.param(name, 64, id=name) for name in SMALL] + [
     pytest.param(name, size, id=f"{name}-{size}")
     for name in SMALL

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, layout
-from repro.core.pdxearch import dimension_steps
+from repro.core.pdxearch import dimension_steps, pdx_linear_scan
 from repro.core.topk import TopK
+from repro.search.exact import brute_force_nary, build_exact_collection, pdx_bond_search
 
 shapes = st.tuples(st.integers(1, 200), st.integers(1, 40))
 
@@ -78,3 +79,20 @@ def test_accumulate_order_invariance(d, seed):
     got = np.zeros(32, dtype=np.float32)
     kernels.l2_accumulate(block.data, q, got, perm)
     np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-3)
+
+
+@given(st.integers(1, 3000), st.integers(1, 24), st.integers(1, 50), st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_exact_search_k_above_n_returns_every_id(n, d, extra, seed):
+    """With k > n the threshold never leaves +inf, so linear and BOND
+    return all n ids over the default exact units, in brute-force order.
+    Small integer values keep every distance exact, ties included."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-8, 8, size=(n, d)).astype(np.float32)
+    q = rng.integers(-8, 8, size=d).astype(np.float32)
+    coll = build_exact_collection(data)
+    want_ids, want_d = brute_force_nary(data, q, n)
+    for search in (pdx_linear_scan, pdx_bond_search):
+        ids, dists = search(coll, q, n + extra)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_d)
