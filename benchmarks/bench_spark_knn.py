@@ -12,7 +12,7 @@ from repro.spark.search_ops import knn
 def spark_blocks(spark, bench_datasets):
     data, queries = bench_datasets("glove50", sf=0.005, n_queries=5)
     df = vecdata.to_spark(spark, data)
-    blocks = vectors_to_blocks(df, block_size=64).repartition(8).cache()
+    blocks = vectors_to_blocks(df).repartition(8).cache()
     blocks.count()  # materialize the cache outside the benchmark
     return blocks, data, queries
 

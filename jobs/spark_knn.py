@@ -20,7 +20,7 @@ from repro.spark.search_ops import knn
 def run(spark: SparkSession, *, dataset: str = "glove50", sf: float = 0.005, k: int = 10):
     ds = vecdata.generate(dataset, sf=sf, n_queries=10)
     df = vecdata.to_spark(spark, ds.data)
-    blocks = vectors_to_blocks(df, block_size=64).repartition(8).cache()
+    blocks = vectors_to_blocks(df).repartition(8).cache()
     result = knn(blocks, ds.queries, k, PDXBond(ds.dim, order="means"))
     out = result.toPandas()
     gt_ids, _ = vecdata.ground_truth(ds.data, ds.queries, k)

@@ -51,10 +51,10 @@ def tune_nprobe(
     return max_nprobe
 
 
-def _run_timed(searcher, queries: np.ndarray, k: int, nprobe: int, **kw):
+def _run_timed(searcher, queries: np.ndarray, k: int, nprobe: int):
     trace = Trace()
     for q in queries:
-        searcher.search(q, k, nprobe=nprobe, trace=trace, **kw)
+        searcher.search(q, k, nprobe=nprobe, trace=trace)
     return trace.seconds
 
 
@@ -75,7 +75,6 @@ def ivf_breakdown(
     k: int = 10,
     target_recall: float = 0.95,
     seed: int = 0,
-    fixed_delta_d: int = 32,
 ) -> pd.DataFrame:
     """Run the Table 7 experiment end-to-end; returns one row per
     algorithm with total ms and per-phase shares."""
@@ -100,22 +99,16 @@ def ivf_breakdown(
     np_bsa = tune_nprobe(pdx_bsa, queries, gt_ids, k, target_recall, max_nprobe=max_np)
     np_bond = tune_nprobe(pdx_bond, queries, gt_ids, k, target_recall, max_nprobe=max_np)
 
+    runs = [
+        ("N-ary ADS", nary_ads, np_ads),
+        ("PDX ADS", pdx_ads, np_ads),
+        ("N-ary BSA", nary_bsa, np_bsa),
+        ("PDX BSA", pdx_bsa, np_bsa),
+        ("PDX BOND", pdx_bond, np_bond),
+    ]
     rows = [
-        breakdown_row(
-            "N-ary ADS",
-            _run_timed(nary_ads, queries, k, np_ads, delta_d=fixed_delta_d),
-            len(queries),
-        ),
-        breakdown_row("PDX ADS", _run_timed(pdx_ads, queries, k, np_ads), len(queries)),
-        breakdown_row(
-            "N-ary BSA",
-            _run_timed(nary_bsa, queries, k, np_bsa, delta_d=fixed_delta_d),
-            len(queries),
-        ),
-        breakdown_row("PDX BSA", _run_timed(pdx_bsa, queries, k, np_bsa), len(queries)),
-        breakdown_row(
-            "PDX BOND", _run_timed(pdx_bond, queries, k, np_bond), len(queries)
-        ),
+        breakdown_row(name, _run_timed(s, queries, k, nprobe), len(queries))
+        for name, s, nprobe in runs
     ]
     frame = pd.DataFrame(rows)
     frame.attrs["nprobe"] = {"ads": np_ads, "bsa": np_bsa, "bond": np_bond}

@@ -27,9 +27,6 @@ DIMS = [8, 16, 32, 64, 128, 256, 512, 1024, 1536]
 SIZES = [4096, 16384, 65536]
 MAX_ELEMS = 1 << 24  # skip combos > 16M floats (64 MB per layout copy)
 
-_NARY = {"l2": kernels.l2_nary, "l1": kernels.l1_nary, "ip": kernels.ip_nary}
-_PDX = {"l2": kernels.l2_pdx, "l1": kernels.l1_pdx, "ip": kernels.ip_pdx}
-
 
 def best_time(fn, *, repeat: int = 5, number: int = 3) -> float:
     """Best-of-repeat mean seconds per call of ``fn()``."""
@@ -52,7 +49,7 @@ def kernel_speedups(
     repeat: int = 5,
 ) -> pd.DataFrame:
     """Per-(dim, n) timings of N-ary vs PDX and their speedup."""
-    nary_fn, pdx_fn = _NARY[metric], _PDX[metric]
+    nary_fn, pdx_fn = kernels.METRICS_NARY[metric], kernels.METRICS_PDX[metric]
     rows = []
     rng = np.random.default_rng(seed)
     for dim in dims:

@@ -19,23 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.kernels import PDX_BLOCK_SIZE, l2_cumulative
+from repro.core.kernels import l2_cumulative
 from repro.core.layout import build_pdx
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
 
 
 def pruning_power_trace(
-    data: np.ndarray,
-    queries: np.ndarray,
-    pruner: Pruner,
-    *,
-    k: int = 10,
-    block_size: int = PDX_BLOCK_SIZE,
+    data: np.ndarray, queries: np.ndarray, pruner: Pruner, *, k: int = 10
 ) -> np.ndarray:
-    """Per-query pruning power (fraction of dimension values avoided)."""
+    """Per-query pruning power (fraction of dimension values avoided),
+    over blocks of ``PDX_BLOCK_SIZE`` vectors."""
     tdata = pruner.transform_data(data)
-    coll = build_pdx(tdata, block_size=block_size)
+    coll = build_pdx(tdata)
     n, dim = tdata.shape
     total_values = n * dim
     powers = np.empty(len(queries))
@@ -73,20 +69,13 @@ def power_summary(powers: np.ndarray) -> dict[str, float]:
 
 
 def pruning_power_table(
-    datasets: dict[str, tuple[np.ndarray, np.ndarray]],
-    pruner_factory,
-    *,
-    k: int = 10,
-    block_size: int = PDX_BLOCK_SIZE,
+    datasets: dict[str, tuple[np.ndarray, np.ndarray]], pruner_factory, *, k: int = 10
 ) -> pd.DataFrame:
     """Build a Table 2/6-shaped frame: rows best/p50/p25/worst, one
     column per dataset. ``pruner_factory(dim, data) -> Pruner``."""
     cols: dict[str, dict[str, float]] = {}
     for name, (data, queries) in datasets.items():
         pruner = pruner_factory(data.shape[1], data)
-        powers = pruning_power_trace(
-            data, queries, pruner, k=k, block_size=block_size
-        )
-        cols[name] = power_summary(powers)
+        cols[name] = power_summary(pruning_power_trace(data, queries, pruner, k=k))
     frame = pd.DataFrame(cols)
     return frame.loc[["best", "p50", "p25", "worst"]]

@@ -3,8 +3,8 @@
 A :class:`PDXBlock` stores up to ``block_size`` vectors dimension-major:
 ``data[d, i]`` is dimension ``d`` of the block's ``i``-th vector, and each
 dimension's values are contiguous (the tight inner loop of Algorithm 1).
-Blocks carry per-dimension means — the metadata PDX-BOND's query-aware
-dimension ordering consumes (§3 "Metadata per block", §5).
+A block's per-dimension means (§3 "Metadata per block") are derived
+from its data when asked for; none are stored.
 
 A :class:`PDXCollection` is an ordered list of blocks over a collection
 (an IVF bucket, or a horizontal partition for exact search) plus
@@ -26,7 +26,11 @@ class PDXBlock:
 
     data: np.ndarray
     ids: np.ndarray  # (n,) int64 — global vector ids of the block's slots
-    means: np.ndarray  # (D,) float32 — per-dimension means of this block
+
+    @property
+    def means(self) -> np.ndarray:
+        """(D,) float32 per-dimension means of this block."""
+        return self.data.mean(axis=1).astype(np.float32)
 
     @property
     def n(self) -> int:
@@ -82,13 +86,7 @@ def build_pdx(
     for size in block_size:
         start, stop = stop, stop + size
         dm = np.ascontiguousarray(data[start:stop].T, dtype=np.float32)
-        blocks.append(
-            PDXBlock(
-                data=dm,
-                ids=ids[start:stop].copy(),
-                means=dm.mean(axis=1).astype(np.float32),
-            )
-        )
+        blocks.append(PDXBlock(data=dm, ids=ids[start:stop].copy()))
     return PDXCollection(
         blocks=blocks,
         dim=d,

@@ -9,8 +9,8 @@ The framework scans a sequence of PDX blocks with three phases:
   (2, 4, 8, …); partial distances are accumulated for *all* vectors of
   the block (no break-off — random access would cost more than it
   saves), and the pruning predicate runs in a separate vectorized pass.
-- **PRUNE** — once the surviving fraction drops below
-  ``selection_fraction`` (paper sweet spot: 20 %), only surviving
+- **PRUNE** — once the surviving fraction drops to
+  :data:`SELECTION_FRACTION` (the paper's 20 %), only surviving
   positions are accumulated and tested.
 
 At the last dimension survivors carry their full (exact-in-transformed-
@@ -36,6 +36,9 @@ from repro.core.layout import PDXBlock, PDXCollection
 from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
+
+#: PRUNE starts once at most this share of a block's vectors survive (§4).
+SELECTION_FRACTION = 0.2
 
 
 def dimension_steps(dim: int, *, fixed: int | None = None) -> list[int]:
@@ -74,7 +77,6 @@ def _scan_block_pruned(
     pruner: Pruner,
     heap: TopK,
     *,
-    selection_fraction: float,
     steps: list[int],
     trace: Trace,
 ) -> None:
@@ -98,7 +100,7 @@ def _scan_block_pruned(
             if n_alive == 0:
                 trace.lap("bounds")
                 return
-            if n_alive <= selection_fraction * block.n:
+            if n_alive <= SELECTION_FRACTION * block.n:
                 positions = np.flatnonzero(alive)
         else:
             pruned = pruner.prune_mask(dists[positions], scanned, threshold, ctx)
@@ -117,7 +119,6 @@ def search_blocks(
     pruner: Pruner,
     heap: TopK,
     *,
-    selection_fraction: float = 0.2,
     fixed_step: int | None = None,
     trace: Trace = NO_TRACE,
 ) -> TopK:
@@ -132,16 +133,7 @@ def search_blocks(
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, trace)  # START phase
             continue
-        _scan_block_pruned(
-            block,
-            ctx,
-            order,
-            pruner,
-            heap,
-            selection_fraction=selection_fraction,
-            steps=steps,
-            trace=trace,
-        )
+        _scan_block_pruned(block, ctx, order, pruner, heap, steps=steps, trace=trace)
     return heap
 
 
@@ -151,7 +143,6 @@ def pdxearch(
     k: int,
     pruner: Pruner,
     *,
-    selection_fraction: float = 0.2,
     fixed_step: int | None = None,
     trace: Trace = NO_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +156,7 @@ def pdxearch(
     ctx = pruner.prepare(query, coll)
     trace.lap("query_prep")
     heap = TopK(k)
-    search_blocks(
-        coll.blocks,
-        ctx,
-        pruner,
-        heap,
-        selection_fraction=selection_fraction,
-        fixed_step=fixed_step,
-        trace=trace,
-    )
+    search_blocks(coll.blocks, ctx, pruner, heap, fixed_step=fixed_step, trace=trace)
     return heap.result()
 
 

@@ -157,11 +157,10 @@ class BSA(Pruner):
             else np.arange(len(data))
         )
         s = self.pca.transform(data[idx]).astype(np.float64)
-        # Nearest neighbour of each sample point within the sample.
-        d2 = ((s[:, None, :] - s[None, :, :]) ** 2).sum(-1) if len(s) <= 256 else None
-        if d2 is None:
-            norms = (s * s).sum(1)
-            d2 = norms[:, None] - 2.0 * (s @ s.T) + norms[None, :]
+        # Nearest neighbour of each sample point within the sample, by norm
+        # expansion, so memory stays (sample, sample) at any D.
+        norms = (s * s).sum(1)
+        d2 = norms[:, None] - 2.0 * (s @ s.T) + norms[None, :]
         np.fill_diagonal(d2, np.inf)
         nn = np.argmin(d2, axis=1)
         diff2 = (s - s[nn]) ** 2  # (sample, D) per-dim contributions

@@ -5,11 +5,29 @@ merged in batches (a whole block's survivors at once) and re-partitioned,
 which is both faster in NumPy and matches how PDXearch merges at block
 boundaries. ``threshold`` is the current k-th best distance (+inf until k
 candidates have been seen) — the pruning bound every pruner compares
-against.
+against. :func:`smallest` is the one selection rule: every exact scan
+selects its result with it, so ties at the k-th distance resolve by id
+everywhere.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def smallest(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``min(k, len(ids))`` smallest ``(id, dist)`` pairs, ascending by
+    distance, then id; ``k = 0`` gives an empty result."""
+    ids = np.asarray(ids, dtype=np.int64)
+    dists = np.asarray(dists, dtype=np.float64)
+    k = min(k, len(dists))
+    if len(dists) > 2 * k:
+        # O(n) pre-filter for large batches (whole-block merges): keep
+        # everything at or below the k-th distance — boundary ties
+        # included, so the lexsort below decides them by id.
+        keep = dists <= np.partition(dists, k - 1)[k - 1]
+        ids, dists = ids[keep], dists[keep]
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
 
 
 class TopK:
@@ -33,19 +51,10 @@ class TopK:
         """Merge a batch of candidates (block survivors) into the top-k."""
         if len(ids) == 0:
             return
-        ids = np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])
-        dists = np.concatenate([self._dists, np.asarray(dists, dtype=np.float64)])
-        if len(ids) > 2 * self.k:
-            # O(n) pre-filter for large batches (whole-block merges):
-            # keep everything at or below the k-th distance — boundary
-            # ties included, so the final lexsort stays deterministic
-            # regardless of partition order.
-            kth = np.partition(dists, self.k - 1)[self.k - 1]
-            keep = dists <= kth
-            ids, dists = ids[keep], dists[keep]
-        # Sort by (distance, id): O(1) threshold, deterministic ties.
-        order = np.lexsort((ids, dists))[: self.k]
-        self._ids, self._dists = ids[order], dists[order]
+        # Kept sorted by (distance, id): O(1) threshold, deterministic ties.
+        self._ids, self._dists = smallest(
+            np.concatenate([self._ids, ids]), np.concatenate([self._dists, dists]), self.k
+        )
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(ids, dists)`` sorted ascending by distance, then id."""

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.kernels import PDX_BLOCK_SIZE, l2_accumulate, l2_nary
+from repro.core.kernels import l2_accumulate, l2_nary
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import search_blocks
 from repro.core.pruners import Pruner
@@ -72,23 +72,13 @@ def _pdx_all_distances(coll: PDXCollection, query: np.ndarray) -> np.ndarray:
 class IVFPDXSearcher:
     """PDXearch over IVF buckets stored in the PDX layout."""
 
-    def __init__(
-        self,
-        index: IVFIndex,
-        data: np.ndarray,
-        pruner: Pruner,
-        *,
-        block_size: int = PDX_BLOCK_SIZE,
-    ):
+    def __init__(self, index: IVFIndex, data: np.ndarray, pruner: Pruner):
         self.index = index
         self.pruner = pruner
         tdata = pruner.transform_data(data)
-        self._cent_coll = build_pdx(
-            pruner.transform_data(index.centroids), block_size=block_size
-        )
+        self._cent_coll = build_pdx(pruner.transform_data(index.centroids))
         self.buckets: list[PDXCollection] = [
-            build_pdx(tdata[ids], ids=ids, block_size=block_size)
-            for ids in index.bucket_ids
+            build_pdx(tdata[ids], ids=ids) for ids in index.bucket_ids
         ]
         # Collection-level metadata for query-aware ordering (PDX-BOND).
         self._meta = SimpleNamespace(
@@ -145,7 +135,6 @@ class IVFNarySearcher:
         *,
         nprobe: int,
         pruned: bool = True,
-        delta_d: int = 32,
         trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
@@ -162,9 +151,7 @@ class IVFNarySearcher:
             if len(bids) == 0:
                 continue
             if pruned and np.isfinite(heap.threshold):
-                horizontal_pruned_search(
-                    bdata, bids, ctx, self.pruner, heap, delta_d=delta_d, trace=trace
-                )
+                horizontal_pruned_search(bdata, bids, ctx, self.pruner, heap, trace=trace)
             else:
                 trace.start()
                 d = l2_nary(bdata, ctx.query)

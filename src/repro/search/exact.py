@@ -7,7 +7,8 @@
 - :func:`pdx_linear_scan` (re-exported) — linear scan on PDX blocks.
 - :func:`pdx_bond_search` — PDX-BOND exact pruned search via PDXearch.
 
-All return ``(ids, dists)`` with squared-L2 distances ascending.
+All return ``(ids, dists)`` with squared-L2 distances ascending, ties
+broken by id (:func:`repro.core.topk.smallest`).
 """
 from __future__ import annotations
 
@@ -17,15 +18,8 @@ from repro.core.kernels import METRICS_NARY, PASS_VALUES, l2_dsm
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import PDXBond
+from repro.core.topk import smallest
 from repro.core.trace import NO_TRACE, Trace
-
-
-def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    k = min(k, len(dists))
-    part = np.argpartition(dists, k - 1)[:k]
-    order = np.lexsort((ids[part], dists[part].astype(np.float64)))
-    sel = part[order]
-    return ids[sel], dists[sel].astype(np.float64)
 
 
 def brute_force_nary(
@@ -49,7 +43,7 @@ def brute_force_nary(
     dists = np.concatenate([kernel(data[a:b], query) for a, b in zip(bounds, bounds[1:])])
     if metric == "ip":
         dists = -dists  # smaller-is-better convention
-    return _topk(np.arange(len(data), dtype=np.int64), dists, k)
+    return smallest(np.arange(len(data), dtype=np.int64), dists, k)
 
 
 def brute_force_dsm(
@@ -57,7 +51,7 @@ def brute_force_dsm(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear scan on the DSM layout ((D, N) dimension-major, §7)."""
     dists = l2_dsm(data_dm, query)
-    return _topk(np.arange(data_dm.shape[1], dtype=np.int64), dists, k)
+    return smallest(np.arange(data_dm.shape[1], dtype=np.int64), dists, k)
 
 
 def pdx_bond_search(

@@ -2,9 +2,9 @@
 "SIMD-ADS" / "N-ary BSA" baselines (§6.3, Table 7).
 
 The search is vector-at-a-time: for each vector, distance is accumulated
-in Δd-dimension slices; after each slice the pruning predicate runs and
-may break off the vector (the fixed-step schedule of the original
-ADSampling/BSA implementations, Δd = 32). The per-vector predicate
+in slices of :data:`DELTA_D` dimensions; after each slice the pruning
+predicate runs and may break off the vector (the fixed-step schedule of
+the original ADSampling/BSA implementations). The per-vector predicate
 interleaving — the branchy control flow the paper blames for the
 horizontal layout losing to plain SIMD scans — is inherent to this code
 shape.
@@ -17,6 +17,10 @@ from repro.core.pruners import Pruner
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
 
+#: Δd: dimensions between predicate checks, as in the original
+#: ADSampling/BSA implementations.
+DELTA_D = 32
+
 
 def horizontal_pruned_search(
     data: np.ndarray,
@@ -25,7 +29,6 @@ def horizontal_pruned_search(
     pruner: Pruner,
     heap: TopK,
     *,
-    delta_d: int = 32,
     trace: Trace = NO_TRACE,
 ) -> TopK:
     """Scan ``data`` (already in the pruner's transformed space, (N, D)
@@ -36,7 +39,7 @@ def horizontal_pruned_search(
     """
     q = query_ctx.query
     d = data.shape[1]
-    steps = list(range(0, d, delta_d)) + [d]
+    steps = list(range(0, d, DELTA_D)) + [d]
     for i in range(len(data)):
         vec = data[i]
         threshold = heap.threshold

@@ -6,13 +6,13 @@ array<...>)`` rows into a DataFrame of PDX *block* rows::
 
     block_id: long, n: int, ids: array<long>,
     data: array<double>   -- D*n values, dimension-major (d0 of all n
-                             vectors, then d1, ...),
-    means: array<double>  -- per-dimension means of the block
+                             vectors, then d1, ...)
 
-Blocks are formed by ``id`` order (``row_number`` over id), so the
-mapping is deterministic and round-trippable. The heavy lifting is an
-``applyInPandas`` group transform — each group becomes exactly one
-block row, transposed with NumPy inside the executor.
+Blocks of ``PDX_BLOCK_SIZE`` vectors are formed by ``id`` order
+(``row_number`` over id), so the mapping is deterministic and
+round-trippable. The heavy lifting is an ``applyInPandas`` group
+transform — each group becomes exactly one block row, transposed with
+NumPy inside the executor.
 
 ``transform_vectors`` applies a pruner's collection preprocessing
 (ADSampling rotation / BSA PCA) as a ``mapInPandas`` transformation so
@@ -32,14 +32,10 @@ from repro.core.kernels import PDX_BLOCK_SIZE
 from repro.core.layout import PDXBlock
 from repro.core.pruners import Pruner
 
-BLOCK_SCHEMA = (
-    "block_id long, n int, ids array<long>, data array<double>, means array<double>"
-)
+BLOCK_SCHEMA = "block_id long, n int, ids array<long>, data array<double>"
 
 
-def vectors_to_blocks(
-    df: DataFrame, *, block_size: int = PDX_BLOCK_SIZE
-) -> DataFrame:
+def vectors_to_blocks(df: DataFrame) -> DataFrame:
     """Group vectors into PDX block rows (dimension-major within block)."""
 
     def make_block(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -52,14 +48,11 @@ def vectors_to_blocks(
                 "n": [mat.shape[0]],
                 "ids": [pdf["id"].to_numpy(dtype=np.int64).tolist()],
                 "data": [dm.ravel().tolist()],
-                "means": [dm.mean(axis=1).tolist()],
             }
         )
 
-    w = Window.orderBy("id")
-    with_block = df.withColumn(
-        "block_id", ((F.row_number().over(w) - F.lit(1)) / F.lit(block_size)).cast("long")
-    )
+    row = F.row_number().over(Window.orderBy("id")) - F.lit(1)
+    with_block = df.withColumn("block_id", (row / F.lit(PDX_BLOCK_SIZE)).cast("long"))
     return with_block.groupBy("block_id").applyInPandas(make_block, BLOCK_SCHEMA)
 
 
@@ -81,14 +74,10 @@ def transform_vectors(df: DataFrame, pruner: Pruner) -> DataFrame:
 
 def rows_to_pdx_blocks(pdf: pd.DataFrame) -> list[PDXBlock]:
     """Reconstruct executor-side :class:`PDXBlock`s from block rows."""
-    blocks = []
-    for n, data, ids, means in zip(pdf["n"], pdf["data"], pdf["ids"], pdf["means"]):
-        data = np.asarray(data, dtype=np.float32)
-        blocks.append(
-            PDXBlock(
-                data=np.ascontiguousarray(data.reshape(len(data) // n, n)),
-                ids=np.asarray(ids, dtype=np.int64),
-                means=np.asarray(means, dtype=np.float32),
-            )
+    return [
+        PDXBlock(
+            data=np.asarray(data, dtype=np.float32).reshape(-1, n),
+            ids=np.asarray(ids, dtype=np.int64),
         )
-    return blocks
+        for n, data, ids in zip(pdf["n"], pdf["data"], pdf["ids"])
+    ]

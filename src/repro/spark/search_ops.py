@@ -57,9 +57,10 @@ def knn(
             if len(pdf) == 0:
                 continue
             blocks = rows_to_pdx_blocks(pdf)
-            meta = SimpleNamespace(
-                dim_means=np.mean([b.means for b in blocks], axis=0).astype(np.float32)
-            )
+            # BOND's dimension means over this batch's vectors.
+            sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
+            means = sums / sum(b.n for b in blocks)
+            meta = SimpleNamespace(dim_means=means.astype(np.float32))
             for qi in range(len(q_arr)):
                 if ctxs[qi] is None:
                     ctxs[qi] = local_pruner.prepare(q_arr[qi], meta)

@@ -1,4 +1,5 @@
 """Exact-search drivers on all layouts (the §6.5 competitors)."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ from repro.core.kernels import METRICS_NARY, PASS_VALUES
 from repro.core.layout import to_dsm
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling
+from repro.core.topk import smallest
 from repro.core.trace import Trace
 from repro.search.exact import (
-    _topk,
     brute_force_dsm,
     brute_force_nary,
     build_exact_collection,
@@ -114,6 +115,26 @@ def test_topk_k_exceeds_n():
     assert len(ids) == 7
 
 
+def test_tied_distances_return_smallest_ids():
+    """On 0/1 data hundreds of vectors tie at each distance; every exact
+    scan returns the smallest tied ids, as the oracle does."""
+    data = np.random.default_rng(0).integers(0, 2, (3000, 4)).astype(np.float32)
+    corners = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.float32)
+    gt_ids, gt_d = vecdata.ground_truth(data, corners, 10)
+    dm, coll = to_dsm(data), build_exact_collection(data)
+    searchers = {
+        "nary": lambda q: brute_force_nary(data, q, 10),
+        "dsm": lambda q: brute_force_dsm(dm, q, 10),
+        "linear": lambda q: pdx_linear_scan(coll, q, 10),
+        "bond": lambda q: pdx_bond_search(coll, q, 10),
+    }
+    for qi, q in enumerate(corners):
+        for name, search in searchers.items():
+            ids, dists = search(q)
+            np.testing.assert_array_equal(ids, gt_ids[qi], err_msg=name)
+            np.testing.assert_array_equal(dists, gt_d[qi], err_msg=name)
+
+
 @pytest.mark.parametrize("metric", ["l2", "l1", "ip"])
 @pytest.mark.parametrize(
     "n, dim",
@@ -131,7 +152,7 @@ def test_brute_force_nary_passes_equal_one_kernel_call(metric, n, dim):
     dists = METRICS_NARY[metric](data, q)
     if metric == "ip":
         dists = -dists
-    want_ids, want_d = _topk(np.arange(n, dtype=np.int64), dists, n)
+    want_ids, want_d = smallest(np.arange(n, dtype=np.int64), dists, n)
     ids, d = brute_force_nary(data, q, n, metric=metric)
     np.testing.assert_array_equal(ids, want_ids)
     np.testing.assert_array_equal(d, want_d)

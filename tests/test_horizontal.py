@@ -30,7 +30,8 @@ def test_horizontal_with_exact_pruner_is_exact(ds):
         assert_same_topk(got_ids, got_d, gt_ids[qi], gt_d[qi])
 
 
-def test_horizontal_ads_recall(ds):
+def test_horizontal_ads_recall(ds, monkeypatch):
+    monkeypatch.setattr("repro.search.horizontal.DELTA_D", 16)
     d, (gt_ids, _) = ds
     ads = ADSampling(d.dim, seed=0)
     t = ads.transform_data(d.data)
@@ -39,7 +40,7 @@ def test_horizontal_ads_recall(ds):
     for q in d.queries:
         ctx = ads.prepare(q)
         heap = TopK(10)
-        horizontal_pruned_search(t, ids_all, ctx, ads, heap, delta_d=16)
+        horizontal_pruned_search(t, ids_all, ctx, ads, heap)
         found.append(heap.result()[0])
     assert vecdata.recall_at_k(np.stack(found), gt_ids) >= 0.95
 

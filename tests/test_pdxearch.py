@@ -91,14 +91,15 @@ def test_bond_exact_across_datasets(name):
 
 
 @pytest.mark.parametrize("frac", [0.05, 0.2, 0.5])
-def test_bond_exact_any_selection_fraction(frac, glove):
+def test_bond_exact_any_selection_fraction(frac, glove, monkeypatch):
     """The PRUNE-phase switch point is a performance knob, never a
     correctness knob (§6.6)."""
+    monkeypatch.setattr("repro.core.pdxearch.SELECTION_FRACTION", frac)
     ds, (gt_ids, gt_d) = glove
     coll = build_pdx(ds.data)
     bond = PDXBond(ds.dim, order="means")
     for qi, q in enumerate(ds.queries[:10]):
-        ids, dists = pdxearch(coll, q, 10, bond, selection_fraction=frac)
+        ids, dists = pdxearch(coll, q, 10, bond)
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 

@@ -1,4 +1,6 @@
 """Pruning predicates: math, masks, bounds, and dimension orderings."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,19 @@ def test_bsa_factor_profile(data):
     np.testing.assert_allclose(f[-1], 1.0, atol=1e-9)
     # PCA front-loads energy: early-dim bounds must be tighter than late
     assert f[0] < f[-1]
+
+
+def test_bsa_fit_memory_is_quadratic_in_sample():
+    """Finding each sample point's nearest neighbour holds (sample, sample)
+    distances, never a (sample, sample, D) difference array (64 MB here)."""
+    data = random_collection(256, 128, seed=0)
+    tracemalloc.start()
+    try:
+        BSA(128).fit(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"{peak / 2**20:.1f} MB"
 
 
 def test_bsa_mask_matches_bounds(data):

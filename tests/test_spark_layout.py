@@ -16,7 +16,7 @@ def ds():
 @pytest.fixture(scope="module")
 def blocks_pdf(spark, ds):
     df = vecdata.to_spark(spark, ds.data)
-    return vectors_to_blocks(df, block_size=64).toPandas()
+    return vectors_to_blocks(df).toPandas()
 
 
 def test_block_count_and_sizes(ds, blocks_pdf):
@@ -58,7 +58,7 @@ def test_transform_vectors_matches_local(spark, ds):
 def test_ragged_last_block_roundtrip(spark):
     ds = vecdata.generate("nytimes16", sf=0.001)
     df = vecdata.to_spark(spark, ds.data[:70])
-    pdf = vectors_to_blocks(df, block_size=64).toPandas().sort_values("block_id")
+    pdf = vectors_to_blocks(df).toPandas().sort_values("block_id")
     blocks = rows_to_pdx_blocks(pdf)
     assert [b.n for b in blocks] == [64, 6]
     back = np.vstack([b.data.T for b in blocks])

@@ -27,7 +27,7 @@ def ds():
 @pytest.fixture(scope="module")
 def blocks(spark, ds):
     df = vecdata.to_spark(spark, ds.data)
-    return vectors_to_blocks(df, block_size=64).repartition(4).cache()
+    return vectors_to_blocks(df).repartition(4).cache()
 
 
 def test_knn_matches_duckdb_oracle(spark, ds, blocks):
@@ -64,7 +64,7 @@ def test_knn_multiquery_shape(ds, blocks):
 def test_knn_ads_recall_on_spark(spark, ds):
     ads = ADSampling(ds.dim, seed=2)
     df = vecdata.to_spark(spark, ds.data)
-    tblocks = vectors_to_blocks(transform_vectors(df, ads), block_size=64).repartition(3)
+    tblocks = vectors_to_blocks(transform_vectors(df, ads)).repartition(3)
     gt_ids, _ = vecdata.ground_truth(ds.data, ds.queries, K)
     out = knn(tblocks, ds.queries, K, ads).toPandas()
     found = np.stack(
@@ -82,7 +82,7 @@ def test_knn_exact_across_partitionings(spark, ds):
     df = vecdata.to_spark(spark, ds.data)
     gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries[:2], K)
     for parts in (1, 7):
-        blocks = vectors_to_blocks(df, block_size=64).repartition(parts)
+        blocks = vectors_to_blocks(df).repartition(parts)
         out = knn(blocks, ds.queries[:2], K, PDXBond(ds.dim)).toPandas()
         for qi in range(2):
             rows = out[out["qid"] == qi].sort_values(["dist", "id"])

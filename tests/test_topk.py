@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.topk import TopK
+from repro.core.topk import TopK, smallest
 
 
 def test_threshold_inf_until_k_seen():
@@ -63,6 +63,11 @@ def test_empty_update_noop():
 def test_k_must_be_positive():
     with pytest.raises(ValueError):
         TopK(0)
+
+
+def test_smallest_k_zero_is_empty():
+    ids, dists = smallest(np.arange(5), np.ones(5), 0)
+    assert len(ids) == len(dists) == 0
 
 
 def test_fewer_than_k_results():

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -82,15 +83,46 @@ def test_trace_times_phases_and_keeps_results(name, searches):
     assert NO_TRACE.seconds == {}
 
 
-def test_benchmark_tracer_finds_every_entry_point():
-    """The traced benchmark run wraps entry points by name; a rename
-    would fail it with ``TraceError`` at install time."""
-    code = "import searchers, tracing; tracing.Tracer().install()"
+def _run_in_perfbench(code: str, timeout: int) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     ))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    """The traced benchmark run wraps entry points by name; a rename
+    would fail it with ``TraceError`` at install time."""
+    _run_in_perfbench("import searchers, tracing; tracing.Tracer().install()", 120)
+
+
+def test_benchmark_tracer_sees_every_entry_point_called():
+    """Tiny ivf and exact workloads, built and searched under the traced
+    benchmark's wrappers, call every entry point the run expects; a
+    change to the call graph fails here, not at benchmark time."""
+    _run_in_perfbench(textwrap.dedent("""
+        from inputs import Workload, make_inputs
+        import searchers, tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        for w in [
+            Workload("tiny-ivf", "glove50", "ivf", n=3000, nlist=16, nprobe=4),
+            Workload("tiny-exact", "glove50", "exact", n=2000),
+        ]:
+            data, queries = make_inputs(w, 0)
+            tracer.reset("setup")
+            tracer.reset("query")
+            tracer.attach("setup")
+            built = searchers.build_inproc(w, data)
+            for name, fn in built.fns.items():
+                tracer.attach("query", name)
+                for q in queries[:3]:
+                    fn(q)
+            tracer.detach()
+            tracer.check_called(w.kind)
+    """), 300)
