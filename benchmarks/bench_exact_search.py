@@ -74,6 +74,6 @@ def test_pdx_bond(benchmark, data, case):
 
     def run():
         for q in queries:
-            pdx_bond_search(coll, q, K, order="means")
+            pdx_bond_search(coll, q, K)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

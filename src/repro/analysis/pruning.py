@@ -3,16 +3,18 @@
 The paper measures, per query, the percentage of individual dimension
 *values* that were never touched by a distance calculation when the
 pruning predicate is evaluated at *every* dimension (Δd = 1), K = 10.
-Simulating that literally is a dimension-at-a-time loop; instead we use
-the closed form: with cumulative partial distances ``cum[d, i]`` (one
-cumsum per block, ``repro.core.kernels.l2_cumulative``) and the
-pruner's per-dimension bounds ``b[d]`` (``Pruner.prune_bounds``), a
-vector is pruned at the first ``d`` with ``cum[d, i] > b[d]`` — the
+Simulating that literally is a dimension-at-a-time loop; instead one
+cumsum per block (``repro.core.kernels.l2_cumulative``) gives the
+partial distance of every vector after every dimension, a (D, n)
+matrix, and one call of the pruner's own predicate
+(``Pruner.prune_mask``, the one PDXearch runs) tests all of it at once.
+A vector is pruned at the first ``d`` where the predicate holds — the
 exact Δd=1 search outcome at a fraction of the cost.
 
-Bookkeeping mirrors the search: the first block (threshold still +inf)
-is scanned fully; survivors of later blocks are scanned fully and
-merged into the heap, tightening the threshold block-to-block.
+Bookkeeping mirrors the search: the first block (threshold still +inf,
+where no predicate prunes) is scanned fully; survivors of later blocks
+are scanned fully and merged into the heap, tightening the threshold
+block-to-block.
 """
 from __future__ import annotations
 
@@ -34,20 +36,15 @@ def pruning_power_trace(
     coll = build_pdx(tdata)
     n, dim = tdata.shape
     total_values = n * dim
+    nscanned = np.arange(1, dim + 1)[:, None]  # the predicate after every dimension
     powers = np.empty(len(queries))
     for qi, q in enumerate(queries):
         ctx = pruner.prepare(q, coll)
         heap = TopK(k)
         scanned = 0
         for block in coll.blocks:
-            threshold = heap.threshold
             cum = l2_cumulative(block.data, ctx.query, ctx.dim_order)
-            if not np.isfinite(threshold):
-                scanned += block.dim * block.n
-                heap.update(block.ids, cum[-1])
-                continue
-            bounds = pruner.prune_bounds(ctx, threshold)
-            mask = cum > bounds[:, None]  # (D, n): predicate at every dim
+            mask = pruner.prune_mask(cum, nscanned, heap.threshold)  # (D, n)
             any_pruned = mask.any(axis=0)
             first = np.argmax(mask, axis=0)  # first pruning dim (0-based)
             dims_scanned = np.where(any_pruned, first + 1, block.dim)

@@ -73,7 +73,6 @@ def _scan_block_full(block: PDXBlock, ctx: QueryContext, heap: TopK, trace: Trac
 def _scan_block_pruned(
     block: PDXBlock,
     ctx: QueryContext,
-    order: np.ndarray | range,
     pruner: Pruner,
     heap: TopK,
     *,
@@ -86,7 +85,7 @@ def _scan_block_pruned(
     positions: np.ndarray | None = None  # None => WARMUP (no break-off)
     scanned = 0
     for step in steps:
-        dims = order[scanned : scanned + step]
+        dims = ctx.dim_order[scanned : scanned + step]
         scanned += len(dims)
         trace.start()
         l2_accumulate(block.data, ctx.query, dists, dims, positions)
@@ -94,7 +93,7 @@ def _scan_block_pruned(
         if scanned >= block.dim:
             break  # full distances reached; no point testing the predicate
         if positions is None:
-            pruned = pruner.prune_mask(dists, scanned, threshold, ctx)
+            pruned = pruner.prune_mask(dists, scanned, threshold)
             alive &= ~pruned
             n_alive = np.count_nonzero(alive)
             if n_alive == 0:
@@ -103,7 +102,7 @@ def _scan_block_pruned(
             if n_alive <= SELECTION_FRACTION * block.n:
                 positions = np.flatnonzero(alive)
         else:
-            pruned = pruner.prune_mask(dists[positions], scanned, threshold, ctx)
+            pruned = pruner.prune_mask(dists[positions], scanned, threshold)
             positions = positions[~pruned]
             if len(positions) == 0:
                 trace.lap("bounds")
@@ -125,15 +124,12 @@ def search_blocks(
     """Run PDXearch over a block stream, threshold propagating block to
     block through ``heap``. The stream may span multiple collections
     (IVF buckets in centroid-rank order)."""
-    order = ctx.dim_order
-    if np.array_equal(order, np.arange(len(order))):
-        order = range(len(order))  # contiguous steps: kernels slice, not gather
-    steps = dimension_steps(len(order), fixed=fixed_step)
+    steps = dimension_steps(len(ctx.dim_order), fixed=fixed_step)
     for block in blocks:
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, trace)  # START phase
             continue
-        _scan_block_pruned(block, ctx, order, pruner, heap, steps=steps, trace=trace)
+        _scan_block_pruned(block, ctx, pruner, heap, steps=steps, trace=trace)
     return heap
 
 

@@ -8,10 +8,15 @@ Each pruner implements a small protocol:
   compute the query-aware dimension order). Returns a
   :class:`QueryContext`. This is the "query preprocessing" phase of the
   Table 7 breakdown.
-- ``prune_mask(partial, nscanned, threshold, ctx)`` — the pruning
-  predicate, vectorized over a block: given partial squared distances
-  after ``nscanned`` dimensions and the current k-th best distance,
-  return a boolean mask (True = provably/probably out, stop scanning).
+- ``prune_mask(partial, nscanned, threshold)`` — the pruning predicate,
+  each pruner's one definition of its bound: given partial squared
+  distances after ``nscanned`` dimensions and the current k-th best
+  distance, return a boolean mask shaped like ``partial`` (True =
+  provably/probably out, stop scanning). ``nscanned`` broadcasts
+  against ``partial``: PDXearch passes one block step (1-D partials, a
+  scalar count), the Δd=1 pruning-power trace of Tables 2/6 passes
+  every dimension at once ((D, n) cumulative partials, a (D, 1) count
+  column), so the tables measure the predicate the search runs.
 
 All distances are *squared* L2. Transforms are orthogonal (possibly
 after centering), so distances in transformed space equal distances in
@@ -27,19 +32,28 @@ import numpy as np
 from repro.core.layout import PDXCollection
 from repro.core.projections import PCAProjection, random_orthogonal
 
+#: ADSampling's ε₀, the authors' recommended recall/speed setting.
+EPSILON0 = 2.1
+#: BSA's recall-tuning multiplier m, set so its recall is close to
+#: ADSampling's (paper §6.1).
+BSA_MULTIPLIER = 3.0
+#: Vectors sampled to calibrate BSA's remaining-distance profile.
+BSA_SAMPLE = 512
+
 
 @dataclass
 class QueryContext:
     """Per-query state shared by the search loop and the pruning predicate."""
 
     query: np.ndarray  # transformed query, (D,) float32
-    dim_order: np.ndarray  # permutation of 0…D-1 (identity unless query-aware)
+    # Permutation of 0…D-1; ``range(D)`` for storage order, so kernels
+    # slice contiguous dimension runs instead of gathering them.
+    dim_order: np.ndarray | range
 
 
 class Pruner:
     """Base: a linear scan that never prunes (the PDX-LINEAR-SCAN baseline)."""
 
-    name = "linear"
     exact = True  # does the algorithm preserve exact top-k?
 
     def __init__(self, dim: int):
@@ -51,24 +65,13 @@ class Pruner:
     def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
         return QueryContext(
             query=np.ascontiguousarray(query, dtype=np.float32),
-            dim_order=np.arange(self.dim),
+            dim_order=range(self.dim),
         )
 
     def prune_mask(
-        self,
-        partial: np.ndarray,
-        nscanned: int,
-        threshold: float,
-        ctx: QueryContext,
+        self, partial: np.ndarray, nscanned: int | np.ndarray, threshold: float
     ) -> np.ndarray:
-        return np.zeros(len(partial), dtype=bool)
-
-    def prune_bounds(self, ctx: QueryContext, threshold: float) -> np.ndarray:
-        """Per-dimension pruning bounds b so that a vector is pruned after
-        scanning d dims iff ``partial_d > b[d-1]`` — the closed form the
-        Δd=1 pruning-power traces (Tables 2/6) evaluate analytically.
-        A linear scan never prunes."""
-        return np.full(self.dim, np.inf)
+        return np.zeros(np.shape(partial), dtype=bool)
 
 
 class ADSampling(Pruner):
@@ -78,20 +81,18 @@ class ADSampling(Pruner):
     squared distance of a vector at true squared distance ``t`` has mean
     ``t·d/D``. The test prunes when the partial exceeds
     ``r²·(d/D)·(1+ε₀/√d)²`` — i.e. when even an ε₀-generous estimate of
-    the full distance exceeds the current k-th best ``r²``. ε₀ = 2.1 is
-    the authors' recommended recall/speed setting.
+    the full distance exceeds the current k-th best ``r²``
+    (ε₀ = :data:`EPSILON0`).
     """
 
-    name = "adsampling"
     exact = False
 
-    def __init__(self, dim: int, *, epsilon0: float = 2.1, seed: int = 0):
+    def __init__(self, dim: int, *, seed: int = 0):
         super().__init__(dim)
-        self.epsilon0 = epsilon0
         self.rotation = random_orthogonal(dim, seed=seed)
         d = np.arange(1, dim + 1, dtype=np.float64)
         # ratio[d-1] multiplies the threshold at d scanned dimensions.
-        self._ratio = (d / dim) * (1.0 + epsilon0 / np.sqrt(d)) ** 2
+        self._ratio = (d / dim) * (1.0 + EPSILON0 / np.sqrt(d)) ** 2
 
     def transform_data(self, data: np.ndarray) -> np.ndarray:
         out = data.astype(np.float32) @ self.rotation.T
@@ -99,15 +100,12 @@ class ADSampling(Pruner):
 
     def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
         q = (query.astype(np.float32) @ self.rotation.T).astype(np.float32)
-        return QueryContext(query=q, dim_order=np.arange(self.dim))
+        return QueryContext(query=q, dim_order=range(self.dim))
 
-    def prune_mask(self, partial, nscanned, threshold, ctx):
+    def prune_mask(self, partial, nscanned, threshold):
         if not np.isfinite(threshold):
-            return np.zeros(len(partial), dtype=bool)
+            return np.zeros(np.shape(partial), dtype=bool)
         return partial > threshold * self._ratio[nscanned - 1]
-
-    def prune_bounds(self, ctx, threshold):
-        return threshold * self._ratio
 
 
 class BSA(Pruner):
@@ -129,8 +127,8 @@ class BSA(Pruner):
     Because PCA front-loads energy, near pairs still have a sizeable
     remaining fraction at small d (``f_lo > 0``), so pruning starts
     earlier than with the raw exact bound (``partial > r²``).
-    The multiplier ``m`` trades recall for speed (paper §6.1: "m is set
-    to achieve a recall similar to ADSampling").
+    The multiplier ``m`` (:data:`BSA_MULTIPLIER`) trades recall for speed
+    (paper §6.1: "m is set to achieve a recall similar to ADSampling").
 
     Substitution note (DESIGN.md §3): the original BSA learns per-
     dimension regression models for its error quantiles; we calibrate a
@@ -139,21 +137,19 @@ class BSA(Pruner):
     recall-tuning multiplier.
     """
 
-    name = "bsa"
     exact = False
 
-    def __init__(self, dim: int, *, multiplier: float = 3.0):
+    def __init__(self, dim: int):
         super().__init__(dim)
-        self.m = multiplier
         self.pca: PCAProjection | None = None
         self._factor: np.ndarray | None = None  # (D,) threshold scalers
 
-    def fit(self, data: np.ndarray, *, sample: int = 512, seed: int = 0) -> "BSA":
+    def fit(self, data: np.ndarray, *, seed: int = 0) -> "BSA":
         self.pca = PCAProjection.fit(data, seed=seed)
         rng = np.random.default_rng(seed)
         idx = (
-            rng.choice(len(data), sample, replace=False)
-            if len(data) > sample
+            rng.choice(len(data), BSA_SAMPLE, replace=False)
+            if len(data) > BSA_SAMPLE
             else np.arange(len(data))
         )
         s = self.pca.transform(data[idx]).astype(np.float64)
@@ -172,7 +168,7 @@ class BSA(Pruner):
             [np.zeros((len(s), 1)), prefix], axis=1
         )  # (sample, D+1)
         f_lo = np.clip(
-            rem_frac.mean(axis=0) - self.m * rem_frac.std(axis=0), 0.0, 1.0
+            rem_frac.mean(axis=0) - BSA_MULTIPLIER * rem_frac.std(axis=0), 0.0, 1.0
         )
         self._factor = 1.0 - f_lo[1 : self.dim + 1]
         return self
@@ -185,15 +181,12 @@ class BSA(Pruner):
     def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
         assert self.pca is not None, "BSA.fit/transform_data must run first"
         q = self.pca.transform(query[None, :])[0]
-        return QueryContext(query=q, dim_order=np.arange(self.dim))
+        return QueryContext(query=q, dim_order=range(self.dim))
 
-    def prune_mask(self, partial, nscanned, threshold, ctx):
+    def prune_mask(self, partial, nscanned, threshold):
         if not np.isfinite(threshold):
-            return np.zeros(len(partial), dtype=bool)
+            return np.zeros(np.shape(partial), dtype=bool)
         return partial > threshold * self._factor[nscanned - 1]
-
-    def prune_bounds(self, ctx, threshold):
-        return threshold * self._factor
 
 
 class PDXBond(Pruner):
@@ -210,27 +203,25 @@ class PDXBond(Pruner):
     - ``means`` — the paper's "distance to means": largest
       |q_d − mean_d| first (collection-level means metadata);
     - ``zones`` — the paper's "dimension zones": consecutive runs of
-      ``zone_size`` dims ranked by their mean distance-to-means, dims
-      sequential inside a zone (trades pruning power for sequential
+      ``max(8, D // 16)`` dims ranked by their mean distance-to-means,
+      dims sequential inside a zone (trades pruning power for sequential
       access; default for IVF-sized blocks).
     """
 
-    name = "pdx-bond"
     exact = True
 
-    def __init__(self, dim: int, *, order: str = "means", zone_size: int | None = None):
+    def __init__(self, dim: int, *, order: str = "means"):
         super().__init__(dim)
         if order not in {"sequential", "decreasing", "means", "zones"}:
             raise ValueError(f"unknown order {order!r}")
         self.order = order
-        self.zone_size = zone_size or max(8, dim // 16)
 
     def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
         q = np.ascontiguousarray(query, dtype=np.float32)
         d = self.dim
         if self.order == "sequential":
-            idx = np.arange(d)
-        elif self.order == "decreasing":
+            return QueryContext(query=q, dim_order=range(d))
+        if self.order == "decreasing":
             idx = np.argsort(-np.abs(q), kind="stable")
         else:
             means = (
@@ -242,7 +233,7 @@ class PDXBond(Pruner):
             if self.order == "means":
                 idx = np.argsort(-gap, kind="stable")
             else:  # zones
-                z = self.zone_size
+                z = max(8, d // 16)
                 nz = (d + z - 1) // z
                 pad = nz * z - d
                 padded = np.concatenate([gap, np.zeros(pad)])
@@ -255,11 +246,8 @@ class PDXBond(Pruner):
                 idx = idx[idx < d]  # drop padding slots of the last zone
         return QueryContext(query=q, dim_order=idx.astype(np.int64))
 
-    def prune_mask(self, partial, nscanned, threshold, ctx):
+    def prune_mask(self, partial, nscanned, threshold):
         if not np.isfinite(threshold):
-            return np.zeros(len(partial), dtype=bool)
+            return np.zeros(np.shape(partial), dtype=bool)
         # The partial distance is itself a lower bound (exact pruning).
         return partial > threshold
-
-    def prune_bounds(self, ctx, threshold):
-        return np.full(self.dim, threshold)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import METRICS_NARY, PASS_VALUES, l2_dsm
+from repro.core.kernels import PASS_VALUES, l2_dsm, l2_nary
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import PDXBond
@@ -23,7 +23,7 @@ from repro.core.trace import NO_TRACE, Trace
 
 
 def brute_force_nary(
-    data: np.ndarray, query: np.ndarray, k: int, *, metric: str = "l2"
+    data: np.ndarray, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal linear scan (FAISS-flat style) over (N, D) row-major data.
 
@@ -34,15 +34,12 @@ def brute_force_nary(
     its own, so the result is bit-identical to one kernel call over all
     rows.
     """
-    kernel = METRICS_NARY[metric]
     # Never a lone row: past its 8192-value buffer, einsum reduces a
     # single row in another order than a row among others. A lone last
     # row joins the pass before it; no rows still make one empty pass.
     rows = max(2, PASS_VALUES // data.shape[1])
     bounds = [*range(0, max(1, len(data) - 1), rows), len(data)]
-    dists = np.concatenate([kernel(data[a:b], query) for a, b in zip(bounds, bounds[1:])])
-    if metric == "ip":
-        dists = -dists  # smaller-is-better convention
+    dists = np.concatenate([l2_nary(data[a:b], query) for a, b in zip(bounds, bounds[1:])])
     return smallest(np.arange(len(data), dtype=np.int64), dists, k)
 
 
@@ -59,7 +56,6 @@ def pdx_bond_search(
     query: np.ndarray,
     k: int,
     *,
-    order: str = "means",
     trace: Trace = NO_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact PDX-BOND search over a PDX collection.
@@ -68,7 +64,7 @@ def pdx_bond_search(
     vectors with the "distance to means" order; build ``coll`` with
     :func:`build_exact_collection` for that layout.
     """
-    return pdxearch(coll, query, k, PDXBond(coll.dim, order=order), trace=trace)
+    return pdxearch(coll, query, k, PDXBond(coll.dim, order="means"), trace=trace)
 
 
 def build_exact_collection(

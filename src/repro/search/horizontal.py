@@ -53,9 +53,7 @@ def horizontal_pruned_search(
             trace.lap("distance")
             if d1 >= d:
                 break
-            out = pruner.prune_mask(
-                np.array([partial], dtype=np.float32), d1, threshold, query_ctx
-            )[0]
+            out = pruner.prune_mask(np.array([partial], dtype=np.float32), d1, threshold)[0]
             trace.lap("bounds")
             if out:
                 pruned = True

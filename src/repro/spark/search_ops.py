@@ -52,19 +52,19 @@ def knn(
     def search_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local_pruner = pruner if pruner is not None else Pruner(dim)
         heaps: list[TopK] = [TopK(k) for _ in range(len(q_arr))]
-        ctxs: list[QueryContext | None] = [None] * len(q_arr)
+        ctxs: list[QueryContext] | None = None
         for pdf in batches:
             if len(pdf) == 0:
                 continue
             blocks = rows_to_pdx_blocks(pdf)
-            # BOND's dimension means over this batch's vectors.
-            sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
-            means = sums / sum(b.n for b in blocks)
-            meta = SimpleNamespace(dim_means=means.astype(np.float32))
-            for qi in range(len(q_arr)):
-                if ctxs[qi] is None:
-                    ctxs[qi] = local_pruner.prepare(q_arr[qi], meta)
-                search_blocks(blocks, ctxs[qi], local_pruner, heaps[qi])
+            if ctxs is None:
+                # BOND's dimension means over the first batch's vectors.
+                sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
+                means = sums / sum(b.n for b in blocks)
+                meta = SimpleNamespace(dim_means=means.astype(np.float32))
+                ctxs = [local_pruner.prepare(q, meta) for q in q_arr]
+            for ctx, heap in zip(ctxs, heaps):
+                search_blocks(blocks, ctx, local_pruner, heap)
         rows = {"qid": [], "id": [], "dist": []}
         for qi, heap in enumerate(heaps):
             ids, dists = heap.result()

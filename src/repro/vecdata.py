@@ -10,8 +10,9 @@ thousand vectors and benchmarks at tens of thousands.
 
 ``generate`` returns a :class:`VectorDataset` holding the collection, the
 held-out query set, and the spec. ``ground_truth`` computes exact KNN
-(the recall oracle). ``to_spark``/``to_spark_wide`` lift a collection
-into Spark DataFrames (wide form feeds the DuckDB oracle at small D).
+(the recall oracle). ``to_spark`` lifts a collection into a Spark
+DataFrame; ``to_pandas_wide`` and ``knn_sql`` give the DuckDB oracle its
+wide table and brute-force query at small D.
 """
 from __future__ import annotations
 
@@ -158,28 +159,20 @@ def random_collection(
 
 
 def ground_truth(
-    data: np.ndarray, queries: np.ndarray, k: int, *, metric: str = "l2"
+    data: np.ndarray, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact KNN ids and distances, the recall oracle.
 
-    Returns ``(ids, dists)`` of shape (q, k); for ``l2`` dists are squared
-    Euclidean (the paper's δ), for ``ip`` the *negated* inner product so
-    that smaller is always better for every metric.
+    Returns ``(ids, dists)`` of shape (q, k); dists are squared Euclidean
+    (the paper's δ).
     """
     x = data.astype(np.float64)
     qs = queries.astype(np.float64)
-    if metric == "l2":
-        d2 = (
-            (x * x).sum(axis=1)[None, :]
-            - 2.0 * qs @ x.T
-            + (qs * qs).sum(axis=1)[:, None]
-        )
-    elif metric == "ip":
-        d2 = -(qs @ x.T)
-    elif metric == "l1":
-        d2 = np.stack([np.abs(x - q).sum(axis=1) for q in qs])
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    d2 = (
+        (x * x).sum(axis=1)[None, :]
+        - 2.0 * qs @ x.T
+        + (qs * qs).sum(axis=1)[:, None]
+    )
     ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return ids, np.take_along_axis(d2, ids, axis=1)
 
@@ -212,13 +205,6 @@ def to_spark(spark: SparkSession, data: np.ndarray) -> DataFrame:
         {"id": np.arange(len(data), dtype=np.int64), "vec": np.asarray(data, np.float32).tolist()}
     )
     return spark.createDataFrame(pdf, schema="id long, vec array<float>")
-
-
-def to_spark_wide(spark: SparkSession, data: np.ndarray) -> DataFrame:
-    """Lift to a wide DataFrame ``(id, d0 … dD-1)`` — the DuckDB-oracle
-    friendly shape (scalar columns only). Use at small D."""
-    pdf = to_pandas_wide(data)
-    return spark.createDataFrame(pdf)
 
 
 def to_pandas_wide(data: np.ndarray) -> pd.DataFrame:

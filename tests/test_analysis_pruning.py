@@ -1,4 +1,4 @@
-"""Δd=1 pruning-power traces (Table 2/6 harness) — the closed-form trace
+"""Δd=1 pruning-power traces (Table 2/6 harness) — the whole-matrix trace
 must agree with a literal dimension-at-a-time simulation."""
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ def _literal_trace(data, queries, pruner, k=10, block_size=PDX_BLOCK_SIZE):
                 scanned += int(alive.sum())
                 if np.isfinite(threshold):
                     mask = pruner.prune_mask(
-                        dists[alive].astype(np.float32), step, threshold, ctx
+                        dists[alive].astype(np.float32), step, threshold
                     )
                     idx = np.flatnonzero(alive)
                     alive[idx[mask]] = False

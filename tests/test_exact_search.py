@@ -8,10 +8,10 @@ import pytest
 from _util import assert_same_topk
 
 from repro import vecdata
-from repro.core.kernels import METRICS_NARY, PASS_VALUES
+from repro.core.kernels import PASS_VALUES, l2_nary
 from repro.core.layout import to_dsm
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
-from repro.core.pruners import ADSampling
+from repro.core.pruners import ADSampling, PDXBond
 from repro.core.topk import smallest
 from repro.core.trace import Trace
 from repro.search.exact import (
@@ -52,7 +52,7 @@ def test_pdx_bond_exact(dataset, order):
     ds, (gt_ids, gt_d) = dataset
     coll = build_exact_collection(ds.data, block_size=500)
     for qi, q in enumerate(ds.queries):
-        ids, dists = pdx_bond_search(coll, q, 10, order=order)
+        ids, dists = pdxearch(coll, q, 10, PDXBond(ds.dim, order=order))
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
@@ -63,7 +63,7 @@ def test_pdx_bond_exact_default_units(dataset, order):
     ds, (gt_ids, gt_d) = dataset
     coll = build_exact_collection(ds.data)
     for qi, q in enumerate(ds.queries):
-        ids, dists = pdx_bond_search(coll, q, 10, order=order)
+        ids, dists = pdxearch(coll, q, 10, PDXBond(ds.dim, order=order))
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
@@ -96,19 +96,6 @@ def test_bond_timers(dataset):
     assert trace.seconds["distance"] > 0
 
 
-@pytest.mark.parametrize("metric", ["l1", "ip"])
-def test_brute_force_other_metrics(metric):
-    ds = vecdata.generate("nytimes16", sf=0.001, n_queries=5)
-    gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries, 5, metric=metric)
-    for qi, q in enumerate(ds.queries):
-        ids, dists = brute_force_nary(ds.data, q, 5, metric=metric)
-        got = set(ids.tolist())
-        want = set(gt_ids[qi].tolist())
-        # allow tie permutations at the boundary; distances must agree
-        np.testing.assert_allclose(np.sort(dists), np.sort(gt_d[qi]), rtol=1e-3)
-        assert len(got & want) >= 4
-
-
 def test_topk_k_exceeds_n():
     ds = vecdata.generate("nytimes16", sf=0.001)
     ids, _ = brute_force_nary(ds.data[:7], ds.queries[0], 20)
@@ -135,13 +122,15 @@ def test_tied_distances_return_smallest_ids():
             np.testing.assert_array_equal(dists, gt_d[qi], err_msg=name)
 
 
-@pytest.mark.parametrize("metric", ["l2", "l1", "ip"])
 @pytest.mark.parametrize(
     "n, dim",
     [(1000, 96), (13, 10_000), (5, PASS_VALUES + 3), (3, PASS_VALUES + 3), (1, 96), (0, 96)],
-    ids=["ragged-last-pass", "lone-last-row", "wider-than-a-pass", "one-pass", "one-row", "empty"],
+    ids=[
+        "ragged-last-pass-l2", "lone-last-row-l2", "wider-than-a-pass-l2", "one-pass-l2",
+        "one-row-l2", "empty-l2",
+    ],
 )
-def test_brute_force_nary_passes_equal_one_kernel_call(metric, n, dim):
+def test_brute_force_nary_passes_equal_one_kernel_call(n, dim):
     """Scanning rows in passes gives the distances of one kernel call over
     all rows, bit for bit (k = n compares every distance). Past 8192
     dimensions einsum sums a lone row in another order, so the wide cases
@@ -149,11 +138,8 @@ def test_brute_force_nary_passes_equal_one_kernel_call(metric, n, dim):
     rng = np.random.default_rng(11)
     data = rng.standard_normal((n, dim)).astype(np.float32)
     q = rng.standard_normal(dim).astype(np.float32)
-    dists = METRICS_NARY[metric](data, q)
-    if metric == "ip":
-        dists = -dists
-    want_ids, want_d = smallest(np.arange(n, dtype=np.int64), dists, n)
-    ids, d = brute_force_nary(data, q, n, metric=metric)
+    want_ids, want_d = smallest(np.arange(n, dtype=np.int64), l2_nary(data, q), n)
+    ids, d = brute_force_nary(data, q, n)
     np.testing.assert_array_equal(ids, want_ids)
     np.testing.assert_array_equal(d, want_d)
 

@@ -1,11 +1,15 @@
 """Property-based tests (Hypothesis) for the core invariants."""
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, layout
 from repro.core.pdxearch import dimension_steps, pdx_linear_scan
+from repro.core.pruners import PDXBond, Pruner
 from repro.core.topk import TopK
+from repro.ivf.index import IVFNarySearcher, IVFPDXSearcher, build_ivf
 from repro.search.exact import brute_force_nary, build_exact_collection, pdx_bond_search
 
 shapes = st.tuples(st.integers(1, 200), st.integers(1, 40))
@@ -96,3 +100,31 @@ def test_exact_search_k_above_n_returns_every_id(n, d, extra, seed):
         ids, dists = search(coll, q, n + extra)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(dists, want_d)
+
+
+@given(st.integers(1, 12), st.integers(1, 16), st.data(), st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_ivf_full_probe_with_empty_buckets_is_exact(m, d, draw, seed):
+    """The collection repeats only ``m`` distinct integer rows, so at most
+    ``m`` IVF buckets hold vectors and an ``nlist`` above ``m`` leaves the
+    rest empty. At full probe the exact searchers return brute force's
+    ids and distances, ties by id."""
+    rng = np.random.default_rng(seed)
+    n = draw.draw(st.integers(m + 1, 400), label="n")
+    nlist = draw.draw(st.integers(m + 1, n), label="nlist")
+    k = draw.draw(st.integers(1, n), label="k")
+    rows = rng.integers(-4, 4, size=(m, d))
+    data = rows[rng.integers(0, m, size=n)].astype(np.float32)
+    q = rng.integers(-4, 4, size=d).astype(np.float32)
+    index = build_ivf(data, nlist=nlist)
+    assert sum(len(b) == 0 for b in index.bucket_ids) >= nlist - m
+    want_ids, want_d = brute_force_nary(data, q, k)
+    searches = {
+        "pdx-linear": IVFPDXSearcher(index, data, Pruner(d)).search,
+        "pdx-bond": IVFPDXSearcher(index, data, PDXBond(d, order="zones")).search,
+        "nary-linear": partial(IVFNarySearcher(index, data, Pruner(d)).search, pruned=False),
+    }
+    for name, search in searches.items():
+        ids, dists = search(q, k, nprobe=nlist)
+        np.testing.assert_array_equal(ids, want_ids, err_msg=name)
+        np.testing.assert_array_equal(dists, want_d, err_msg=name)

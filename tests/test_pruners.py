@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import pruners
+from repro.core.kernels import l2_cumulative
 from repro.core.layout import build_pdx
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
 from repro.vecdata import generate, random_collection
@@ -16,16 +18,14 @@ def data():
 
 def test_linear_pruner_never_prunes(data):
     p = Pruner(32)
-    ctx = p.prepare(data[0])
-    mask = p.prune_mask(np.array([1e9, 0.0]), 10, 1.0, ctx)
+    mask = p.prune_mask(np.array([1e9, 0.0]), 10, 1.0)
     assert not mask.any()
-    assert np.all(np.isinf(p.prune_bounds(ctx, 1.0)))
 
 
 # ----------------------------------------------------------------- ADSampling
 
 def test_ads_ratio_formula():
-    ads = ADSampling(128, epsilon0=2.1)
+    ads = ADSampling(128)
     d = 32
     want = (d / 128) * (1 + 2.1 / np.sqrt(d)) ** 2
     np.testing.assert_allclose(ads._ratio[d - 1], want)
@@ -48,19 +48,7 @@ def test_ads_query_transform_consistent(data):
 
 def test_ads_no_pruning_without_threshold(data):
     ads = ADSampling(32)
-    ctx = ads.prepare(data[0])
-    assert not ads.prune_mask(np.full(5, 1e12), 16, float("inf"), ctx).any()
-
-
-def test_ads_mask_matches_bounds(data):
-    ads = ADSampling(32, seed=2)
-    ctx = ads.prepare(data[0])
-    thr = 123.0
-    bounds = ads.prune_bounds(ctx, thr)
-    partial = np.linspace(0, 300, 50).astype(np.float32)
-    for d in (1, 7, 31, 32):
-        mask = ads.prune_mask(partial, d, thr, ctx)
-        np.testing.assert_array_equal(mask, partial > bounds[d - 1])
+    assert not ads.prune_mask(np.full(5, 1e12), 16, float("inf")).any()
 
 
 def test_ads_more_dims_tighter_relative_bound():
@@ -110,27 +98,16 @@ def test_bsa_fit_memory_is_quadratic_in_sample():
     assert peak < 8 << 20, f"{peak / 2**20:.1f} MB"
 
 
-def test_bsa_mask_matches_bounds(data):
-    bsa = BSA(32).fit(data)
-    ctx = bsa.prepare(data[0])
-    thr = 50.0
-    bounds = bsa.prune_bounds(ctx, thr)
-    partial = np.linspace(0, 100, 40).astype(np.float32)
-    for d in (1, 16, 32):
-        np.testing.assert_array_equal(
-            bsa.prune_mask(partial, d, thr, ctx), partial > bounds[d - 1]
-        )
-
-
-def test_bsa_higher_multiplier_prunes_less(data):
-    loose = BSA(32, multiplier=10.0).fit(data)
-    tight = BSA(32, multiplier=0.5).fit(data)
+def test_bsa_higher_multiplier_prunes_less(data, monkeypatch):
+    monkeypatch.setattr(pruners, "BSA_MULTIPLIER", 10.0)
+    loose = BSA(32).fit(data)
+    monkeypatch.setattr(pruners, "BSA_MULTIPLIER", 0.5)
+    tight = BSA(32).fit(data)
     # Larger m => larger factor => looser bound at every dimension.
     assert np.all(loose._factor >= tight._factor - 1e-12)
-    ctx_l, ctx_t = loose.prepare(data[0]), tight.prepare(data[0])
     partial = np.full(20, 45.0, dtype=np.float32)
-    n_loose = loose.prune_mask(partial, 8, 50.0, ctx_l).sum()
-    n_tight = tight.prune_mask(partial, 8, 50.0, ctx_t).sum()
+    n_loose = loose.prune_mask(partial, 8, 50.0).sum()
+    n_tight = tight.prune_mask(partial, 8, 50.0).sum()
     assert n_loose <= n_tight
 
 
@@ -167,26 +144,51 @@ def test_bond_means_order_ranks_by_gap(data):
 def test_bond_zones_are_contiguous_runs():
     ds = generate("glove50", sf=0.0005)
     coll = build_pdx(ds.data)
-    bond = PDXBond(50, order="zones", zone_size=10)
+    bond = PDXBond(50, order="zones")
     ctx = bond.prepare(ds.queries[0], coll)
     order = ctx.dim_order
-    # every aligned zone of 10 dims must appear as one contiguous run
-    for z0 in range(0, 50, 10):
-        pos = np.flatnonzero(np.isin(order, np.arange(z0, z0 + 10)))
-        assert pos.max() - pos.min() == 9
-        np.testing.assert_array_equal(order[pos], np.arange(z0, z0 + 10))
+    # every aligned zone of max(8, 50 // 16) = 8 dims, the last one ragged
+    # (48, 49), must appear as one contiguous run
+    for z0 in range(0, 50, 8):
+        zone = np.arange(z0, min(z0 + 8, 50))
+        pos = np.flatnonzero(np.isin(order, zone))
+        assert pos.max() - pos.min() == len(zone) - 1
+        np.testing.assert_array_equal(order[pos], zone)
 
 
 def test_bond_exact_predicate_is_partial_gt_threshold(data):
     bond = PDXBond(32)
-    ctx = bond.prepare(data[0], build_pdx(data))
     partial = np.array([0.5, 1.5, 2.5], dtype=np.float32)
-    np.testing.assert_array_equal(
-        bond.prune_mask(partial, 3, 1.5, ctx), [False, False, True]
-    )
-    np.testing.assert_allclose(bond.prune_bounds(ctx, 1.5), np.full(32, 1.5))
+    np.testing.assert_array_equal(bond.prune_mask(partial, 3, 1.5), [False, False, True])
 
 
 def test_bond_exactness_flags():
     assert PDXBond(8).exact and Pruner(8).exact
     assert not ADSampling(8).exact and not BSA(8).exact
+
+
+# ------------------------------------------------------- one predicate, any shape
+
+@pytest.mark.parametrize("name", ["linear", "ads", "bsa", "bond"])
+def test_prune_mask_on_trace_matrix_equals_row_calls(name, data):
+    """The Δd=1 trace tests every dimension with one call on (D, n)
+    cumulative partials and a (D, 1) count column; PDXearch calls the
+    same predicate once per step. Both must give the same mask."""
+    pruner = {
+        "linear": lambda: Pruner(32),
+        "ads": lambda: ADSampling(32, seed=2),
+        "bsa": lambda: BSA(32).fit(data),
+        "bond": lambda: PDXBond(32, order="means"),
+    }[name]()
+    tdata = pruner.transform_data(data)
+    coll = build_pdx(tdata)
+    ctx = pruner.prepare(data[0], coll)
+    block = coll.blocks[1]
+    cum = l2_cumulative(block.data, ctx.query, ctx.dim_order)  # (32, n) float32
+    threshold = float(np.quantile(cum[-1], 0.1))  # a k-th best of the block
+    mask = pruner.prune_mask(cum, np.arange(1, 33)[:, None], threshold)
+    assert mask.shape == cum.shape
+    rows = [pruner.prune_mask(cum[d - 1], d, threshold) for d in range(1, 33)]
+    np.testing.assert_array_equal(mask, np.stack(rows))
+    if name != "linear":
+        assert mask.any() and not mask.all()

@@ -125,20 +125,6 @@ def test_ground_truth_matches_naive(k):
         )
 
 
-@pytest.mark.parametrize("metric", ["l2", "l1", "ip"])
-def test_ground_truth_metrics_shapes(metric):
-    ds = vecdata.generate("nytimes16", sf=0.001, n_queries=4)
-    ids, dists = vecdata.ground_truth(ds.data, ds.queries, 3, metric=metric)
-    assert ids.shape == (4, 3) and dists.shape == (4, 3)
-    assert np.all(np.diff(dists, axis=1) >= -1e-9)  # ascending
-
-
-def test_ground_truth_rejects_unknown_metric():
-    ds = vecdata.generate("nytimes16", sf=0.001, n_queries=2)
-    with pytest.raises(ValueError):
-        vecdata.ground_truth(ds.data, ds.queries, 3, metric="cosine")
-
-
 def test_recall_at_k():
     truth = np.array([[1, 2, 3, 4]])
     assert vecdata.recall_at_k(np.array([[1, 2, 3, 4]]), truth) == 1.0
@@ -189,10 +175,3 @@ def test_to_spark_emits_float_arrays(spark, arrow):
     finally:
         spark.conf.set(key, before)
     np.testing.assert_array_equal(np.stack(back["vec"].to_list()), data)
-
-
-def test_to_spark_wide_columns(spark):
-    ds = vecdata.generate("nytimes16", sf=0.001)
-    df = vecdata.to_spark_wide(spark, ds.data[:20])
-    assert set(df.columns) == {"id", *[f"d{i}" for i in range(16)]}
-    assert df.count() == 20
