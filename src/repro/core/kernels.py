@@ -137,6 +137,84 @@ def l2_accumulate(
             dists[positions] += np.einsum("db,db->b", diff, diff)
 
 
+# --------------------------------------------------------------------------
+# Certified full scan. One float32 matrix-vector product (BLAS sgemv) over
+# a whole (D, n) unit scores every vector by norm expansion; a worst-case
+# error bound turns the scores into a candidate set, which the caller
+# re-ranks with the einsum kernel. FAISS scores query batches the same way
+# (``exhaustive_L2sqr_blas``).
+# --------------------------------------------------------------------------
+
+def _gamma(m: int, unit_roundoff: float) -> float:
+    """Higham's γ_m = m·u / (1 − m·u): the relative error bound of m
+    chained roundings (*Accuracy and Stability of Numerical Algorithms*,
+    §3.1)."""
+    return m * unit_roundoff / (1.0 - m * unit_roundoff)
+
+
+_U32, _U64 = 2.0**-24, 2.0**-53
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """float64 ‖x‖² of every row of an (n, D) float32 array.
+
+    Each product of two float32 values is exact in float64; einsum casts
+    in small buffers, so no float64 copy of ``rows`` is made.
+    """
+    return np.einsum("nd,nd->n", rows, rows, dtype=np.float64)
+
+
+def l2_candidates(
+    data: np.ndarray, norms: np.ndarray, query: np.ndarray, k: int
+) -> np.ndarray:
+    """Positions of the (D, n) unit ``data`` that may hold one of its ``k``
+    smallest squared-L2 distances to ``query``; ``norms`` are the unit's
+    :func:`squared_norms`.
+
+    Each distance is estimated as ``est = ‖x‖² − 2·(q @ data) + ‖q‖²``
+    from one float32 sgemv, in float64, and bounded by ``est ± err``:
+
+    - for D values a float32 dot product is off by at most
+      γ_D·|q|ᵀ|x| ≤ γ_D·‖q‖·‖x‖, in any summation order;
+    - the float64 norms and the sums below add at most γ_{D+64}·(‖x‖² + ‖q‖²);
+    - underflow adds at most 2⁻¹⁴⁹ per product; where ‖x‖·‖q‖ could
+      overflow float32, every position is kept.
+
+    The bounds then widen by the relative error γ_{2D+3} of the float32
+    einsum re-rank (a subtraction, a product, and at most 2D additions over
+    its passes), so they bound the distances the caller returns. Position
+    i is kept when its lower bound is at most the k-th smallest upper
+    bound: any other vector is farther than k vectors of the unit,
+    whatever the ties.
+    """
+    dim, n = data.shape
+    if n <= k:
+        return np.arange(n)
+    q64 = query.astype(np.float64)
+    qn = float(q64 @ q64)
+    if qn * norms.max() > _F32_MAX**2 / 4:
+        return np.arange(n)  # the float32 sgemv may overflow: no cut
+    g, rerank = _gamma(dim + 64, _U64), _gamma(2 * dim + 3, _U32)
+    tiny = dim * 2.0**-147  # underflow, with room to spare
+    spread = np.sqrt(norms)
+    spread *= 2.0 * _gamma(dim, _U32) * np.sqrt(qn)
+    dot2 = np.multiply(query @ data, -2.0, dtype=np.float64)
+    # hi, lo = est ± err less the terms all positions share, (1 ± g)·‖q‖² ± tiny
+    hi = norms * (1.0 + g)
+    hi += dot2
+    hi += spread
+    lo = norms * (1.0 - g)
+    lo += dot2
+    lo -= spread
+    hi.partition(k - 1)
+    upper = (hi[k - 1] + (1.0 + g) * qn + tiny) * (1.0 + rerank) + tiny
+    # lower(i) = (lo[i] + (1 − g)·‖q‖² − tiny)·(1 − rerank) − tiny ≤ upper,
+    # solved for lo[i], with room for the rounding of these few scalars.
+    cut = (upper + tiny) / (1.0 - rerank) + tiny - (1.0 - g) * qn
+    return np.flatnonzero(lo <= cut + 16 * _U64 * (abs(upper) + qn))
+
+
 def l2_cumulative(block: np.ndarray, query: np.ndarray, dim_idx: np.ndarray) -> np.ndarray:
     """Prefix partial distances: out[j] = Σ_{i≤j} (v[dim_idx_i] − q[dim_idx_i])².
 

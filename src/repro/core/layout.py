@@ -4,7 +4,9 @@ A :class:`PDXBlock` stores up to ``block_size`` vectors dimension-major:
 ``data[d, i]`` is dimension ``d`` of the block's ``i``-th vector, and each
 dimension's values are contiguous (the tight inner loop of Algorithm 1).
 A block's per-dimension means (§3 "Metadata per block") are derived
-from its data when asked for; none are stored.
+from its data when asked for; none are stored. Each block stores its
+vectors' squared norms, for the certified full scan
+(:func:`repro.core.kernels.l2_candidates`).
 
 A :class:`PDXCollection` is an ordered list of blocks over a collection
 (an IVF bucket, or a horizontal partition for exact search) plus
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import PDX_BLOCK_SIZE
+from repro.core.kernels import PDX_BLOCK_SIZE, squared_norms
 
 
 @dataclass
@@ -26,6 +28,7 @@ class PDXBlock:
 
     data: np.ndarray
     ids: np.ndarray  # (n,) int64 — global vector ids of the block's slots
+    norms: np.ndarray  # (n,) float64 — squared L2 norms of the block's vectors
 
     @property
     def means(self) -> np.ndarray:
@@ -58,6 +61,19 @@ class PDXCollection:
         return sum(b.n for b in self.blocks)
 
 
+#: Rows transposed at a time: a chunk of 256 vectors is read and written
+#: while it is in cache, where a whole 5000-vector unit is not.
+_TRANSPOSE_ROWS = 256
+
+
+def _transpose(rows: np.ndarray) -> np.ndarray:
+    """(D, n) C-contiguous copy of (n, D) ``rows``, in chunks of rows."""
+    out = np.empty(rows.shape[::-1], dtype=rows.dtype)
+    for start in range(0, len(rows), _TRANSPOSE_ROWS):
+        out[:, start : start + _TRANSPOSE_ROWS] = rows[start : start + _TRANSPOSE_ROWS].T
+    return out
+
+
 def build_pdx(
     data: np.ndarray,
     ids: np.ndarray | None = None,
@@ -68,8 +84,9 @@ def build_pdx(
 
     ``block_size`` is one size, for equal blocks of which the last may be
     ragged, or the size of each block in turn, summing to N. Vectors keep
-    their input order; every block gets its own (D, n) buffer. ``ids``
-    default to 0…N−1 (positions in ``data``).
+    their input order; every block gets its own (D, n) buffer and its
+    vectors' squared norms. ``ids`` default to 0…N−1 (positions in
+    ``data``). An empty collection gets zero ``dim_means``.
     """
     n, d = data.shape
     if np.ndim(block_size) == 0:
@@ -81,17 +98,21 @@ def build_pdx(
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
         raise ValueError(f"ids shape {ids.shape} != ({n},)")
+    data = data.astype(np.float32, copy=False)
+    norms = squared_norms(data)  # one call: per-block calls cost more on small blocks
     blocks: list[PDXBlock] = []
     stop = 0
     for size in block_size:
         start, stop = stop, stop + size
-        dm = np.ascontiguousarray(data[start:stop].T, dtype=np.float32)
-        blocks.append(PDXBlock(data=dm, ids=ids[start:stop].copy()))
-    return PDXCollection(
-        blocks=blocks,
-        dim=d,
-        dim_means=data.mean(axis=0).astype(np.float32),
-    )
+        blocks.append(
+            PDXBlock(
+                data=_transpose(data[start:stop]),
+                ids=ids[start:stop].copy(),
+                norms=norms[start:stop],
+            )
+        )
+    means = data.mean(axis=0) if n else np.zeros(d)
+    return PDXCollection(blocks=blocks, dim=d, dim_means=means.astype(np.float32))
 
 
 def to_nary(coll: PDXCollection) -> tuple[np.ndarray, np.ndarray]:

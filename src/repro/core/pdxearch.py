@@ -4,7 +4,9 @@ The framework scans a sequence of PDX blocks with three phases:
 
 - **START** — while the top-k heap holds fewer than k candidates (the
   pruning threshold is +inf), blocks are scanned fully; the first block
-  seeds the threshold.
+  seeds the threshold. A full scan is one certified sgemv over the block,
+  then an exact re-rank of its candidates
+  (:func:`~repro.core.kernels.l2_candidates`).
 - **WARMUP** — dimensions are fetched at exponentially growing steps
   (2, 4, 8, …); partial distances are accumulated for *all* vectors of
   the block (no break-off — random access would cost more than it
@@ -31,7 +33,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_pdx
+from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_candidates, l2_pdx
 from repro.core.layout import PDXBlock, PDXCollection
 from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
@@ -61,13 +63,13 @@ def dimension_steps(dim: int, *, fixed: int | None = None) -> list[int]:
 
 
 def _scan_block_full(block: PDXBlock, ctx: QueryContext, heap: TopK, trace: Trace) -> None:
-    # Every dimension is visited, so storage order (a slice) serves any
-    # query's dimension order.
-    dists = np.zeros(block.n, dtype=np.float32)
+    # Every dimension is visited, so storage order serves any query's
+    # dimension order. Only the unit's certified candidates are re-ranked.
     trace.start()
-    l2_accumulate(block.data, ctx.query, dists, range(block.dim))
+    positions = l2_candidates(block.data, block.norms, ctx.query, heap.k)
+    dists = _l2_block(block.data, ctx.query, positions)
     trace.lap("distance")
-    heap.update(block.ids, dists)
+    heap.update(block.ids[positions], dists)
 
 
 def _scan_block_pruned(
@@ -156,13 +158,15 @@ def pdxearch(
     return heap.result()
 
 
-def _l2_block(data: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared L2 of ``query`` to every vector of one (D, n) block, in
-    passes of at most ``PASS_VALUES`` values."""
-    rows = max(1, PASS_VALUES // data.shape[1])
-    out = l2_pdx(data[None, :rows], query[:rows])
-    for start in range(rows, len(query), rows):
-        out += l2_pdx(data[None, start : start + rows], query[start : start + rows])
+def _l2_block(data: np.ndarray, query: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Squared L2 of ``query`` to the vectors at ``positions`` of one (D, n)
+    block, gathered and computed in passes of at most ``PASS_VALUES``
+    values."""
+    rows = max(1, PASS_VALUES // max(1, len(positions)))
+    out = np.zeros(len(positions), dtype=np.float32)
+    for start in range(0, len(query), rows):
+        sub = data[start : start + rows].take(positions, axis=1)
+        out += l2_pdx(sub[None], query[start : start + rows])
     return out
 
 
@@ -171,13 +175,14 @@ def pdx_linear_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline).
 
-    Algorithm 1 over each block's own (D, n) buffer in turn, a few
-    dimensions per kernel pass, so the temporaries stay small enough for
-    the L2 cache; all distances are merged into the top-k at once.
+    Each block's own (D, n) buffer in turn is cut to its certified
+    candidates by one sgemv (:func:`~repro.core.kernels.l2_candidates`),
+    which are re-ranked with Algorithm 1's kernel, a few dimensions per
+    pass, and merged into the top-k.
     """
     q = np.ascontiguousarray(query, dtype=np.float32)
     heap = TopK(k)
-    if coll.blocks:
-        dists = np.concatenate([_l2_block(b.data, q) for b in coll.blocks])
-        heap.update(np.concatenate([b.ids for b in coll.blocks]), dists)
+    for b in coll.blocks:
+        positions = l2_candidates(b.data, b.norms, q, k)
+        heap.update(b.ids[positions], _l2_block(b.data, q, positions))
     return heap.result()

@@ -16,7 +16,9 @@ Each pruner implements a small protocol:
   against ``partial``: PDXearch passes one block step (1-D partials, a
   scalar count), the Δd=1 pruning-power trace of Tables 2/6 passes
   every dimension at once ((D, n) cumulative partials, a (D, 1) count
-  column), so the tables measure the predicate the search runs.
+  column), so the tables measure the predicate the search runs. A bound
+  is cast to the partials' dtype before the comparison, so both calls
+  compare in float32 and give the same mask.
 
 All distances are *squared* L2. Transforms are orthogonal (possibly
 after centering), so distances in transformed space equal distances in
@@ -105,7 +107,7 @@ class ADSampling(Pruner):
     def prune_mask(self, partial, nscanned, threshold):
         if not np.isfinite(threshold):
             return np.zeros(np.shape(partial), dtype=bool)
-        return partial > threshold * self._ratio[nscanned - 1]
+        return partial > np.asarray(threshold * self._ratio[nscanned - 1], dtype=partial.dtype)
 
 
 class BSA(Pruner):
@@ -186,7 +188,7 @@ class BSA(Pruner):
     def prune_mask(self, partial, nscanned, threshold):
         if not np.isfinite(threshold):
             return np.zeros(np.shape(partial), dtype=bool)
-        return partial > threshold * self._factor[nscanned - 1]
+        return partial > np.asarray(threshold * self._factor[nscanned - 1], dtype=partial.dtype)
 
 
 class PDXBond(Pruner):

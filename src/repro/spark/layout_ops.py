@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.kernels import PDX_BLOCK_SIZE
+from repro.core.kernels import PDX_BLOCK_SIZE, squared_norms
 from repro.core.layout import PDXBlock
 from repro.core.pruners import Pruner
 
@@ -74,10 +74,9 @@ def transform_vectors(df: DataFrame, pruner: Pruner) -> DataFrame:
 
 def rows_to_pdx_blocks(pdf: pd.DataFrame) -> list[PDXBlock]:
     """Reconstruct executor-side :class:`PDXBlock`s from block rows."""
-    return [
-        PDXBlock(
-            data=np.asarray(data, dtype=np.float32).reshape(-1, n),
-            ids=np.asarray(ids, dtype=np.int64),
-        )
-        for n, data, ids in zip(pdf["n"], pdf["data"], pdf["ids"])
-    ]
+    blocks = []
+    for n, data, ids in zip(pdf["n"], pdf["data"], pdf["ids"]):
+        dm = np.asarray(data, dtype=np.float32).reshape(-1, n)
+        ids = np.asarray(ids, dtype=np.int64)
+        blocks.append(PDXBlock(data=dm, ids=ids, norms=squared_norms(dm.T)))
+    return blocks

@@ -4,8 +4,12 @@ rearrangements of the same arithmetic)."""
 import numpy as np
 import pytest
 
+from repro import vecdata
 from repro.core import kernels
 from repro.core.layout import build_pdx, stack_pdx, to_dsm
+from repro.core.pdxearch import pdx_linear_scan
+from repro.core.topk import smallest
+from repro.search.exact import brute_force_nary, build_exact_collection, pdx_bond_search
 from repro.vecdata import random_collection
 
 DIMS = [8, 16, 32, 64, 128, 1536]
@@ -162,6 +166,83 @@ def test_l2_cumulative_respects_dim_order(rng):
     cum = kernels.l2_cumulative(block.data, q, order)
     first = (block.data[order[0]] - q[order[0]]) ** 2
     np.testing.assert_allclose(cum[0], first, rtol=1e-5)
+
+
+# ------------------------------------------------------ certified full scan
+
+def _adversarial(case):
+    """(data, queries, k, block sizes). Every case's distances are exact
+    in float32 (small integers and grid values) or summed in one order by
+    every kernel (D ≤ 2), so every exact scan must return the same ids and
+    distances."""
+    rng = np.random.default_rng(17)
+    if case == "offset":
+        # 1000 + 0.01·noise: ‖x‖² ≈ 8e6 and the float32 dot product is off
+        # by about 1, while distances are about 1e-3. Norm expansion
+        # cancels; values sit on a 2⁻¹⁴ grid, so (x − q)² sums exactly.
+        data = (1000 + 0.01 * rng.standard_normal((500, 8))).astype(np.float32)
+        queries = (1000 + 0.01 * rng.standard_normal((5, 8))).astype(np.float32)
+        return data, queries, 10, None
+    if case == "huge":
+        # ‖x‖·‖q‖ ≈ 2e40 overflows float32, the distances (≈ 1e34) do not;
+        # with D = 2 every kernel sums in the same order.
+        data = (1e20 * (1 + 1e-3 * rng.standard_normal((300, 2)))).astype(np.float32)
+        queries = (1e20 * (1 + 1e-3 * rng.standard_normal((5, 2)))).astype(np.float32)
+        return data, queries, 10, None
+    if case == "near-duplicates":
+        base = rng.integers(0, 64, (40, 16))
+        data = np.repeat(base, 12, axis=0)
+        bump = rng.random(len(data)) < 0.5
+        data[bump, rng.integers(0, 16, bump.sum())] += 1
+        queries = base[:5] + rng.integers(-1, 2, (5, 16))
+        return data.astype(np.float32), queries.astype(np.float32), 10, None
+    if case == "integer-ties":
+        data = rng.integers(0, 3, (2000, 4)).astype(np.float32)
+        return data, rng.integers(0, 3, (5, 4)).astype(np.float32), 10, None
+    if case == "d1":
+        data = rng.standard_normal((300, 1)).astype(np.float32)
+        return data, rng.standard_normal((5, 1)).astype(np.float32), 10, None
+    if case == "k-exceeds-n":
+        data = rng.integers(0, 9, (7, 16)).astype(np.float32)
+        return data, rng.integers(0, 9, (5, 16)).astype(np.float32), 20, None
+    # "empty-unit": the START unit and a later unit hold no vectors
+    data = rng.integers(0, 9, (500, 16)).astype(np.float32)
+    return data, rng.integers(0, 9, (5, 16)).astype(np.float32), 10, [0, 100, 0, 400]
+
+
+ADVERSARIAL = ["offset", "huge", "near-duplicates", "integer-ties", "d1", "k-exceeds-n", "empty-unit"]
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL)
+def test_l2_candidates_hold_the_einsum_top_k(case):
+    data, queries, k, sizes = _adversarial(case)
+    coll = build_exact_collection(data) if sizes is None else build_pdx(data, block_size=sizes)
+    for q in queries:
+        for b in coll.blocks:
+            got = kernels.l2_candidates(b.data, b.norms, q, k)
+            want, _ = smallest(np.arange(b.n), kernels.l2_pdx(b.data[None], q), k)
+            assert set(want.tolist()) <= set(got.tolist())
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL)
+def test_certified_scans_equal_brute_force(case):
+    data, queries, k, sizes = _adversarial(case)
+    coll = build_exact_collection(data) if sizes is None else build_pdx(data, block_size=sizes)
+    for q in queries:
+        want_ids, want_d = brute_force_nary(data, q, k)
+        for search in (pdx_linear_scan, pdx_bond_search):
+            ids, dists = search(coll, q, k)
+            np.testing.assert_array_equal(ids, want_ids, err_msg=search.__name__)
+            np.testing.assert_array_equal(dists, want_d, err_msg=search.__name__)
+
+
+def test_l2_candidates_cut_is_tight():
+    """On the gist960 stand-in the cut keeps under 5 % of every unit."""
+    ds = vecdata.generate("gist960", sf=0.01, n_queries=3, seed=0)
+    coll = build_exact_collection(ds.data)
+    for q in ds.queries:
+        for b in coll.blocks:
+            assert len(kernels.l2_candidates(b.data, b.norms, q, 10)) < 0.05 * b.n
 
 
 def test_pdx_block_size_constant():

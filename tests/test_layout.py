@@ -1,4 +1,6 @@
 """PDX layout construction: round-trips, raggedness, metadata."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ def test_block_shapes_and_contiguity():
         assert b.data.shape[0] == 10
         assert b.data.flags.c_contiguous and b.data.flags.owndata
         assert b.data.dtype == np.float32
+    # D = 1 and n = 1: the transposed rows are already contiguous, and the
+    # block must still not share the caller's buffer.
+    for x in (np.arange(5, dtype=np.float32)[:, None], np.ones((1, 7), np.float32)):
+        b = layout.build_pdx(x).blocks[0]
+        assert b.data.flags.owndata and not np.shares_memory(b.data, x)
 
 
 def test_block_sizes_given_in_turn():
@@ -68,6 +75,27 @@ def test_collection_dim_means():
     data = random_collection(200, 8, seed=5)
     coll = layout.build_pdx(data)
     np.testing.assert_allclose(coll.dim_means, data.mean(axis=0), rtol=1e-4, atol=1e-5)
+
+
+def test_block_norms_are_squared_norms():
+    data = random_collection(130, 24, seed=9)
+    coll = layout.build_pdx(data, block_size=64)
+    norms = np.concatenate([b.norms for b in coll.blocks])
+    assert norms.dtype == np.float64
+    np.testing.assert_allclose(norms, (data.astype(np.float64) ** 2).sum(axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("block", [64, [0]])
+def test_empty_collection_builds_without_warnings(block):
+    """An empty IVF bucket: zero dimension means and no NaN warning; an
+    explicit empty block has empty norms."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coll = layout.build_pdx(np.empty((0, 6), dtype=np.float32), block_size=block)
+    assert coll.n == 0 and coll.dim == 6
+    np.testing.assert_array_equal(coll.dim_means, np.zeros(6, dtype=np.float32))
+    for b in coll.blocks:
+        assert b.data.shape == (6, 0) and b.norms.shape == (0,)
 
 
 @pytest.mark.parametrize("block", [16, 64, 256])

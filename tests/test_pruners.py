@@ -192,3 +192,23 @@ def test_prune_mask_on_trace_matrix_equals_row_calls(name, data):
     np.testing.assert_array_equal(mask, np.stack(rows))
     if name != "linear":
         assert mask.any() and not mask.all()
+
+
+def test_prune_mask_row_and_matrix_agree_one_ulp_above_the_bound():
+    """A float32 partial one ulp above ADSampling's float64 bound, where
+    the bound rounds up to that partial in float32: the search's row call
+    (a scalar count) and the trace's matrix call (a (D, 1) count column)
+    must both keep it."""
+    ads, d = ADSampling(32), 8
+    ratio = ads._ratio[d - 1]
+    threshold = next(
+        t for t in 1.0 + np.arange(1, 1000) / 1024
+        if float(np.float32(t * ratio)) > t * ratio
+    )
+    partial = np.float32(threshold * ratio)  # the bound rounded up
+    cum = np.zeros((32, 1), dtype=np.float32)
+    cum[d - 1] = partial
+    row = ads.prune_mask(np.array([partial]), d, threshold)
+    matrix = ads.prune_mask(cum, np.arange(1, 33)[:, None], threshold)
+    assert not row[0]
+    np.testing.assert_array_equal(matrix[d - 1], row)
