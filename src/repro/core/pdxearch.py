@@ -173,16 +173,11 @@ def _l2_block(data: np.ndarray, query: np.ndarray, positions: np.ndarray) -> np.
 def pdx_linear_scan(
     coll: PDXCollection, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline).
-
-    Each block's own (D, n) buffer in turn is cut to its certified
-    candidates by one sgemv (:func:`~repro.core.kernels.l2_candidates`),
-    which are re-ranked with Algorithm 1's kernel, a few dimensions per
-    pass, and merged into the top-k.
-    """
-    q = np.ascontiguousarray(query, dtype=np.float32)
+    """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline):
+    START's full scan (:func:`_scan_block_full`) of every block in turn,
+    under the linear pruner's context."""
+    ctx = Pruner(coll.dim).prepare(query)
     heap = TopK(k)
-    for b in coll.blocks:
-        positions = l2_candidates(b.data, b.norms, q, k)
-        heap.update(b.ids[positions], _l2_block(b.data, q, positions))
+    for block in coll.blocks:
+        _scan_block_full(block, ctx, heap, NO_TRACE)
     return heap.result()

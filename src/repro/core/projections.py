@@ -34,8 +34,9 @@ class PCAProjection:
     ``transform`` maps vectors into the principal-axis frame (centered),
     which preserves pairwise L2 distances: for x, y,
     ‖W(x−μ) − W(y−μ)‖ = ‖x − y‖ since W is orthogonal.
-    ``explained`` holds the per-component variances (descending) — the
-    error model BSA's quantile bound is built from.
+    ``explained`` holds the sample's variance along each principal axis
+    (descending). It describes the fit; BSA's bound does not read it
+    (``BSA.fit`` calibrates from sampled nearest-neighbour pairs).
     """
 
     components: np.ndarray  # (D, D), rows = principal axes, orthonormal

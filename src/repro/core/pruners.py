@@ -4,10 +4,10 @@ Each pruner implements a small protocol:
 
 - ``transform_data(X)`` — collection preprocessing done once at build
   time (ADSampling's random rotation, BSA's PCA; identity for PDX-BOND).
-- ``prepare(query, coll)`` — per-query work (transform the query,
-  compute the query-aware dimension order). Returns a
-  :class:`QueryContext`. This is the "query preprocessing" phase of the
-  Table 7 breakdown.
+- ``prepare(query, meta)`` — per-query work (transform the query,
+  compute the query-aware dimension order; ``meta`` is read only by
+  PDX-BOND). Returns a :class:`QueryContext`. This is the "query
+  preprocessing" phase of the Table 7 breakdown.
 - ``prune_mask(partial, nscanned, threshold)`` — the pruning predicate,
   each pruner's one definition of its bound: given partial squared
   distances after ``nscanned`` dimensions and the current k-th best
@@ -27,11 +27,11 @@ distance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
-from repro.core.layout import PDXCollection
 from repro.core.projections import PCAProjection, random_orthogonal
 
 #: ADSampling's ε₀, the authors' recommended recall/speed setting.
@@ -41,6 +41,13 @@ EPSILON0 = 2.1
 BSA_MULTIPLIER = 3.0
 #: Vectors sampled to calibrate BSA's remaining-distance profile.
 BSA_SAMPLE = 512
+
+
+class HasDimMeans(Protocol):
+    """``prepare``'s metadata: anything with (D,) collection-level
+    ``dim_means`` — a ``PDXCollection``, an IVF searcher, a namespace."""
+
+    dim_means: np.ndarray
 
 
 @dataclass
@@ -64,7 +71,7 @@ class Pruner:
     def transform_data(self, data: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(data, dtype=np.float32)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, meta: HasDimMeans | None = None) -> QueryContext:
         return QueryContext(
             query=np.ascontiguousarray(query, dtype=np.float32),
             dim_order=range(self.dim),
@@ -100,7 +107,7 @@ class ADSampling(Pruner):
         out = data.astype(np.float32) @ self.rotation.T
         return np.ascontiguousarray(out, dtype=np.float32)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, meta: HasDimMeans | None = None) -> QueryContext:
         q = (query.astype(np.float32) @ self.rotation.T).astype(np.float32)
         return QueryContext(query=q, dim_order=range(self.dim))
 
@@ -180,7 +187,7 @@ class BSA(Pruner):
             self.fit(data)
         return self.pca.transform(data)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, meta: HasDimMeans | None = None) -> QueryContext:
         assert self.pca is not None, "BSA.fit/transform_data must run first"
         q = self.pca.transform(query[None, :])[0]
         return QueryContext(query=q, dim_order=range(self.dim))
@@ -203,11 +210,11 @@ class PDXBond(Pruner):
     - ``decreasing`` — BOND's original criterion, largest |query value|
       first;
     - ``means`` — the paper's "distance to means": largest
-      |q_d − mean_d| first (collection-level means metadata);
+      |q_d − mean_d| first (``prepare`` needs ``meta.dim_means``);
     - ``zones`` — the paper's "dimension zones": consecutive runs of
       ``max(8, D // 16)`` dims ranked by their mean distance-to-means,
       dims sequential inside a zone (trades pruning power for sequential
-      access; default for IVF-sized blocks).
+      access; default for IVF-sized blocks; needs ``meta`` too).
     """
 
     exact = True
@@ -218,7 +225,7 @@ class PDXBond(Pruner):
             raise ValueError(f"unknown order {order!r}")
         self.order = order
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, meta: HasDimMeans | None = None) -> QueryContext:
         q = np.ascontiguousarray(query, dtype=np.float32)
         d = self.dim
         if self.order == "sequential":
@@ -226,12 +233,7 @@ class PDXBond(Pruner):
         if self.order == "decreasing":
             idx = np.argsort(-np.abs(q), kind="stable")
         else:
-            means = (
-                coll.dim_means
-                if coll is not None
-                else np.zeros(d, dtype=np.float32)
-            )
-            gap = np.abs(q.astype(np.float64) - means.astype(np.float64))
+            gap = np.abs(q.astype(np.float64) - meta.dim_means.astype(np.float64))
             if self.order == "means":
                 idx = np.argsort(-gap, kind="stable")
             else:  # zones

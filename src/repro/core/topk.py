@@ -16,7 +16,10 @@ import numpy as np
 
 def smallest(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``min(k, len(ids))`` smallest ``(id, dist)`` pairs, ascending by
-    distance, then id; ``k = 0`` gives an empty result."""
+    distance, then id; ``k = 0`` gives an empty result and ``k < 0`` raises
+    ``ValueError``."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     ids = np.asarray(ids, dtype=np.int64)
     dists = np.asarray(dists, dtype=np.float64)
     k = min(k, len(dists))

@@ -5,13 +5,14 @@
 paper cites). All competitors then share the *same* bucket membership,
 as in the paper's setup ("all competitors share the same IVF index").
 
-Per-algorithm searchers wrap the shared index:
+Per-algorithm searchers wrap the shared index; every query of either
+starts with one shared probe step (``_IVFSearcher._probe``):
 
 - :class:`IVFPDXSearcher` — buckets stored as PDX blocks over the
   pruner's transformed space; search streams nprobe buckets' blocks
   through PDXearch with one shared heap (threshold propagates across
-  buckets). Centroids are also stored as PDX blocks, so "find nearest
-  buckets" uses the PDX kernel (Table 7's observation).
+  buckets). The centroids are one (D, nlist) PDX unit, so "find nearest
+  buckets" is one call of the PDX kernel (Table 7's observation).
 - :class:`IVFNarySearcher` — buckets stored row-major; either a plain
   linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
   horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins).
@@ -19,14 +20,13 @@ Per-algorithm searchers wrap the shared index:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core.kernels import l2_accumulate, l2_nary
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import search_blocks
-from repro.core.pruners import Pruner
+from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
 from repro.ivf.kmeans import kmeans
@@ -56,34 +56,50 @@ def build_ivf(
     return IVFIndex(centroids=centroids, bucket_ids=buckets)
 
 
-def _pdx_all_distances(coll: PDXCollection, query: np.ndarray) -> np.ndarray:
-    """Full PDX-kernel distances over a small collection (centroids)."""
-    out = np.empty(coll.n, dtype=np.float32)
-    order = range(coll.dim)
-    pos = 0
-    for block in coll.blocks:
-        d = np.zeros(block.n, dtype=np.float32)
-        l2_accumulate(block.data, query, d, order)
-        out[pos : pos + block.n] = d
-        pos += block.n
+def _pdx_all_distances(unit: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Full PDX-kernel distances over one (D, n) unit (the centroids)."""
+    out = np.zeros(unit.shape[1], dtype=np.float32)
+    l2_accumulate(unit, query, out, range(len(query)))
     return out
 
 
-class IVFPDXSearcher:
-    """PDXearch over IVF buckets stored in the PDX layout."""
+class _IVFSearcher:
+    """Transforms the data and centroids once, keeps the collection-level
+    ``dim_means`` (the searcher is the metadata ``pruner.prepare`` reads)
+    and probes. Subclasses store the buckets and ``tcentroids`` in their
+    layout (``_store``), rank the centroids (``_rank``) and ``search``."""
 
     def __init__(self, index: IVFIndex, data: np.ndarray, pruner: Pruner):
         self.index = index
         self.pruner = pruner
-        tdata = pruner.transform_data(data)
-        self._cent_coll = build_pdx(pruner.transform_data(index.centroids))
+        tdata = pruner.transform_data(data)  # first: BSA fits on the data
+        self.dim_means = tdata.mean(axis=0).astype(np.float32)
+        self._store(tdata, pruner.transform_data(index.centroids))
+
+    def _probe(
+        self, query: np.ndarray, nprobe: int, trace: Trace
+    ) -> tuple[QueryContext, np.ndarray]:
+        """The query's context and its ``nprobe`` nearest buckets, nearest
+        first (ties by bucket number)."""
+        trace.start()
+        ctx = self.pruner.prepare(query, self)
+        trace.lap("query_prep")
+        probe = np.argsort(self._rank(ctx.query), kind="stable")[:nprobe]
+        trace.lap("find_buckets")
+        return ctx, probe
+
+
+class IVFPDXSearcher(_IVFSearcher):
+    """PDXearch over IVF buckets stored in the PDX layout."""
+
+    def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
         self.buckets: list[PDXCollection] = [
-            build_pdx(tdata[ids], ids=ids) for ids in index.bucket_ids
+            build_pdx(tdata[ids], ids=ids) for ids in self.index.bucket_ids
         ]
-        # Collection-level metadata for query-aware ordering (PDX-BOND).
-        self._meta = SimpleNamespace(
-            dim_means=tdata.mean(axis=0).astype(np.float32)
-        )
+        self.tcentroids = np.ascontiguousarray(tcentroids.T)  # one (D, nlist) unit
+
+    def _rank(self, query: np.ndarray) -> np.ndarray:
+        return _pdx_all_distances(self.tcentroids, query)
 
     def search(
         self,
@@ -94,39 +110,24 @@ class IVFPDXSearcher:
         fixed_step: int | None = None,
         trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
-        trace.start()
-        ctx = self.pruner.prepare(query, self._meta)
-        trace.lap("query_prep")
-        cdists = _pdx_all_distances(self._cent_coll, ctx.query)
-        probe = np.argsort(cdists, kind="stable")[:nprobe]
-        trace.lap("find_buckets")
+        ctx, probe = self._probe(query, nprobe, trace)
         heap = TopK(k)
         blocks = (b for c in probe for b in self.buckets[c].blocks)
-        search_blocks(
-            blocks,
-            ctx,
-            self.pruner,
-            heap,
-            fixed_step=fixed_step,
-            trace=trace,
-        )
+        search_blocks(blocks, ctx, self.pruner, heap, fixed_step=fixed_step, trace=trace)
         return heap.result()
 
 
-class IVFNarySearcher:
+class IVFNarySearcher(_IVFSearcher):
     """Horizontal-layout search over the same IVF buckets."""
 
-    def __init__(self, index: IVFIndex, data: np.ndarray, pruner: Pruner):
-        self.index = index
-        self.pruner = pruner
-        tdata = pruner.transform_data(data)
-        self.tcentroids = pruner.transform_data(index.centroids)
+    def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
         self.buckets = [
-            (np.ascontiguousarray(tdata[ids]), ids) for ids in index.bucket_ids
+            (np.ascontiguousarray(tdata[ids]), ids) for ids in self.index.bucket_ids
         ]
-        self._meta = SimpleNamespace(
-            dim_means=tdata.mean(axis=0).astype(np.float32)
-        )
+        self.tcentroids = tcentroids  # (nlist, D) rows
+
+    def _rank(self, query: np.ndarray) -> np.ndarray:
+        return l2_nary(self.tcentroids, query)
 
     def search(
         self,
@@ -139,12 +140,7 @@ class IVFNarySearcher:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
         ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT)."""
-        trace.start()
-        ctx = self.pruner.prepare(query, self._meta)
-        trace.lap("query_prep")
-        cdists = l2_nary(self.tcentroids, ctx.query)
-        probe = np.argsort(cdists, kind="stable")[:nprobe]
-        trace.lap("find_buckets")
+        ctx, probe = self._probe(query, nprobe, trace)
         heap = TopK(k)
         for c in probe:
             bdata, bids = self.buckets[c]

@@ -58,7 +58,7 @@ def test_bond_query_prep_cheapest_at_high_dim():
         best = float("inf")
         for _ in range(5):
             t0 = time.perf_counter()
-            searcher.pruner.prepare(q, searcher._meta)
+            searcher.pruner.prepare(q, searcher)
             best = min(best, time.perf_counter() - t0)
         return best
 

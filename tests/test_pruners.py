@@ -133,6 +133,12 @@ def test_bond_decreasing_order(data):
     assert np.all(np.diff(q[ctx.dim_order]) <= 1e-6)
 
 
+@pytest.mark.parametrize("order", ["means", "zones"])
+def test_bond_means_orders_need_metadata(order, data):
+    with pytest.raises(AttributeError):
+        PDXBond(32, order=order).prepare(data[0])
+
+
 def test_bond_means_order_ranks_by_gap(data):
     coll = build_pdx(data)
     bond = PDXBond(32, order="means")

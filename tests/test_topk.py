@@ -76,3 +76,9 @@ def test_fewer_than_k_results():
     ids, dists = h.result()
     np.testing.assert_array_equal(ids, [2, 1])
     np.testing.assert_allclose(dists, [1.0, 3.0])
+
+
+def test_smallest_rejects_negative_k():
+    dists = np.random.default_rng(0).random(100)
+    with pytest.raises(ValueError):
+        smallest(np.arange(100), dists, -1)
