@@ -7,7 +7,7 @@ Run: ``python -m pytest benchmarks/bench_exact_search.py --benchmark-only``
 """
 import pytest
 
-from repro.core.layout import to_dsm
+from repro.core.layout import build_pdx, to_dsm
 from repro.core.pdxearch import pdx_linear_scan
 from repro.search.exact import (
     brute_force_dsm,
@@ -49,10 +49,12 @@ def test_dsm_scan(benchmark, data):
 # Exact-search collections: the default growing units ("partitions"),
 # 16 equal partitions with the same START prefix (so one run compares
 # equal and growing units) and 64-vector blocks (one kernel call per
-# block: the per-call dispatch cost at low D).
+# block: the per-call dispatch cost at low D); the last two are plain
+# build_pdx partitionings.
 def _exact_collection(x, case):
-    block_size = {"partitions": None, "uniform": len(x) // 16, "blocks64": 64}[case]
-    return build_exact_collection(x, block_size=block_size)
+    if case == "partitions":
+        return build_exact_collection(x)
+    return build_pdx(x, block_size={"uniform": len(x) // 16, "blocks64": 64}[case])
 
 
 @pytest.mark.parametrize("case", ["partitions", "uniform", "blocks64"])

@@ -115,13 +115,6 @@ def build_pdx(
     return PDXCollection(blocks=blocks, dim=d, dim_means=means.astype(np.float32))
 
 
-def to_nary(coll: PDXCollection) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`build_pdx`: returns ``(data (N, D), ids (N,))``."""
-    rows = [np.ascontiguousarray(b.data.T) for b in coll.blocks]
-    ids = np.concatenate([b.ids for b in coll.blocks])
-    return np.vstack(rows).astype(np.float32), ids
-
-
 def stack_pdx(data: np.ndarray, block_size: int = PDX_BLOCK_SIZE) -> np.ndarray:
     """Dense (nblocks, D, B) PDX representation for the kernel benchmarks.
 

@@ -8,9 +8,10 @@ The framework scans a sequence of PDX blocks with three phases:
   then an exact re-rank of its candidates
   (:func:`~repro.core.kernels.l2_candidates`).
 - **WARMUP** — dimensions are fetched at exponentially growing steps
-  (2, 4, 8, …); partial distances are accumulated for *all* vectors of
-  the block (no break-off — random access would cost more than it
-  saves), and the pruning predicate runs in a separate vectorized pass.
+  (2, 4, 8, …: :func:`dimension_steps`, the one schedule); partial
+  distances are accumulated for *all* vectors of the block (no
+  break-off — random access would cost more than it saves), and the
+  pruning predicate runs in a separate vectorized pass.
 - **PRUNE** — once the surviving fraction drops to
   :data:`SELECTION_FRACTION` (the paper's 20 %), only surviving
   positions are accumulated and tested.
@@ -43,22 +44,15 @@ from repro.core.trace import NO_TRACE, Trace
 SELECTION_FRACTION = 0.2
 
 
-def dimension_steps(dim: int, *, fixed: int | None = None) -> list[int]:
-    """Step sizes covering ``dim`` dimensions.
-
-    Adaptive (default): 2, 4, 8, … doubling — Issue #1's fix. With
-    ``fixed`` set, constant Δd chunks (the ADSampling/BSA original
-    schedule, used for the adaptive-vs-fixed comparison).
-    """
+def dimension_steps(dim: int) -> list[int]:
+    """Step sizes covering ``dim`` dimensions: 2, 4, 8, … doubling, the
+    last step clipped to what is left (§4's adaptive steps)."""
     steps: list[int] = []
-    left = dim
-    step = fixed if fixed is not None else 2
+    left, step = dim, 2
     while left > 0:
-        s = min(step, left)
-        steps.append(s)
-        left -= s
-        if fixed is None:
-            step *= 2
+        steps.append(min(step, left))
+        left -= steps[-1]
+        step *= 2
     return steps
 
 
@@ -120,13 +114,12 @@ def search_blocks(
     pruner: Pruner,
     heap: TopK,
     *,
-    fixed_step: int | None = None,
     trace: Trace = NO_TRACE,
 ) -> TopK:
     """Run PDXearch over a block stream, threshold propagating block to
     block through ``heap``. The stream may span multiple collections
     (IVF buckets in centroid-rank order)."""
-    steps = dimension_steps(len(ctx.dim_order), fixed=fixed_step)
+    steps = dimension_steps(len(ctx.dim_order))
     for block in blocks:
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, trace)  # START phase
@@ -141,7 +134,6 @@ def pdxearch(
     k: int,
     pruner: Pruner,
     *,
-    fixed_step: int | None = None,
     trace: Trace = NO_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact/approximate KNN over one PDX collection (no index).
@@ -154,7 +146,7 @@ def pdxearch(
     ctx = pruner.prepare(query, coll)
     trace.lap("query_prep")
     heap = TopK(k)
-    search_blocks(coll.blocks, ctx, pruner, heap, fixed_step=fixed_step, trace=trace)
+    search_blocks(coll.blocks, ctx, pruner, heap, trace=trace)
     return heap.result()
 
 

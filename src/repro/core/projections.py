@@ -27,43 +27,39 @@ def random_orthogonal(dim: int, *, seed: int = 0) -> np.ndarray:
     return q.astype(np.float32)
 
 
+#: Rows a PCA basis is fit on; larger collections are sampled down to it.
+PCA_SAMPLE = 4096
+
+
 @dataclass
 class PCAProjection:
-    """Full-rank PCA basis fit on (a sample of) the collection.
+    """Full-rank PCA basis fit on at most :data:`PCA_SAMPLE` random rows
+    of the collection.
 
     ``transform`` maps vectors into the principal-axis frame (centered),
     which preserves pairwise L2 distances: for x, y,
-    ‖W(x−μ) − W(y−μ)‖ = ‖x − y‖ since W is orthogonal.
-    ``explained`` holds the sample's variance along each principal axis
-    (descending). It describes the fit; BSA's bound does not read it
-    (``BSA.fit`` calibrates from sampled nearest-neighbour pairs).
+    ‖W(x−μ) − W(y−μ)‖ = ‖x − y‖ since W is orthogonal. The axes are
+    ordered by decreasing variance of the sample, so the transformed
+    dimensions' variances descend too.
     """
 
     components: np.ndarray  # (D, D), rows = principal axes, orthonormal
     mean: np.ndarray  # (D,)
-    explained: np.ndarray  # (D,) descending variances
 
     @classmethod
-    def fit(cls, data: np.ndarray, *, sample: int | None = 4096, seed: int = 0) -> "PCAProjection":
+    def fit(cls, data: np.ndarray, *, seed: int = 0) -> "PCAProjection":
         rng = np.random.default_rng(seed)
         x = data
-        if sample is not None and len(data) > sample:
-            x = data[rng.choice(len(data), sample, replace=False)]
+        if len(data) > PCA_SAMPLE:
+            x = data[rng.choice(len(data), PCA_SAMPLE, replace=False)]
         x = x.astype(np.float64)
         mu = x.mean(axis=0)
-        xc = x - mu
         # SVD of the (sample, D) matrix; Vt rows are principal axes. The
         # thin SVD already gives a (D, D) Vt when the sample has at least
         # D rows, without building the (sample, sample) U; a smaller sample
         # needs the full one to complete the basis.
-        _, s, vt = np.linalg.svd(xc, full_matrices=len(x) < data.shape[1])
-        var = np.zeros(data.shape[1])
-        var[: len(s)] = (s**2) / max(1, len(x) - 1)
-        return cls(
-            components=vt.astype(np.float32),
-            mean=mu.astype(np.float32),
-            explained=var,
-        )
+        _, _, vt = np.linalg.svd(x - mu, full_matrices=len(x) < data.shape[1])
+        return cls(components=vt.astype(np.float32), mean=mu.astype(np.float32))
 
     def transform(self, vecs: np.ndarray) -> np.ndarray:
         v2 = np.atleast_2d(vecs).astype(np.float32)

@@ -107,13 +107,12 @@ class IVFPDXSearcher(_IVFSearcher):
         k: int,
         *,
         nprobe: int,
-        fixed_step: int | None = None,
         trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
         ctx, probe = self._probe(query, nprobe, trace)
         heap = TopK(k)
         blocks = (b for c in probe for b in self.buckets[c].blocks)
-        search_blocks(blocks, ctx, self.pruner, heap, fixed_step=fixed_step, trace=trace)
+        search_blocks(blocks, ctx, self.pruner, heap, trace=trace)
         return heap.result()
 
 

@@ -67,9 +67,7 @@ def pdx_bond_search(
     return pdxearch(coll, query, k, PDXBond(coll.dim, order="means"), trace=trace)
 
 
-def build_exact_collection(
-    data: np.ndarray, *, block_size: int | None = None
-) -> PDXCollection:
+def build_exact_collection(data: np.ndarray) -> PDXCollection:
     """PDX collection for exact search, in units that grow.
 
     The first unit, scanned fully by PDXearch's START phase to seed the
@@ -80,14 +78,13 @@ def build_exact_collection(
     capped at 10 k (§6.5) and at what is left: 625, 625, 1250, 2500,
     5000 for 10 k vectors, and 10 k each from 160 k vectors on. Few,
     large units keep a query's kernel and predicate calls few, while the
-    threshold still passes from unit to unit. ``block_size`` builds
-    equal partitions of that many vectors instead.
+    threshold still passes from unit to unit. Other partitionings are
+    :func:`~repro.core.layout.build_pdx` calls.
     """
-    if block_size is None:
-        block_size = []
-        done, size = 0, int(np.clip(len(data) // 16, 64, 10_000))
-        while done < len(data):
-            block_size.append(min(size, len(data) - done))
-            done += block_size[-1]
-            size = min(done, 10_000)
-    return build_pdx(data, block_size=block_size)
+    sizes: list[int] = []
+    done, size = 0, int(np.clip(len(data) // 16, 64, 10_000))
+    while done < len(data):
+        sizes.append(min(size, len(data) - done))
+        done += sizes[-1]
+        size = min(done, 10_000)
+    return build_pdx(data, block_size=sizes)

@@ -149,13 +149,11 @@ def generate(
     return VectorDataset(spec=spec, data=all_rows[:n], queries=all_rows[n:])
 
 
-def random_collection(
-    n: int, dim: int, *, seed: int = 0, dtype=np.float32
-) -> np.ndarray:
+def random_collection(n: int, dim: int, *, seed: int = 0) -> np.ndarray:
     """Standard-normal random float32 collection — the Table 4/5 kernel
     microbenchmark input ("randomly generated float32", §6.2)."""
     rng = np.random.default_rng(seed)
-    return np.ascontiguousarray(rng.standard_normal((n, dim)), dtype=dtype)
+    return np.ascontiguousarray(rng.standard_normal((n, dim)), dtype=np.float32)
 
 
 def ground_truth(

@@ -9,7 +9,7 @@ from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core.kernels import PASS_VALUES, l2_nary
-from repro.core.layout import to_dsm
+from repro.core.layout import build_pdx, to_dsm
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling, PDXBond
 from repro.core.topk import smallest
@@ -50,7 +50,7 @@ def test_brute_force_dsm_matches_gt(dataset):
 @pytest.mark.parametrize("order", ["means", "zones", "decreasing"])
 def test_pdx_bond_exact(dataset, order):
     ds, (gt_ids, gt_d) = dataset
-    coll = build_exact_collection(ds.data, block_size=500)
+    coll = build_pdx(ds.data, block_size=500)
     for qi, q in enumerate(ds.queries):
         ids, dists = pdxearch(coll, q, 10, PDXBond(ds.dim, order=order))
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
@@ -90,7 +90,7 @@ def test_exact_collection_units_double():
 
 def test_bond_timers(dataset):
     ds, _ = dataset
-    coll = build_exact_collection(ds.data, block_size=500)
+    coll = build_pdx(ds.data, block_size=500)
     trace = Trace()
     pdx_bond_search(coll, ds.queries[0], 10, trace=trace)
     assert trace.seconds["distance"] > 0

@@ -120,15 +120,6 @@ def test_empty_buckets(kind, setup):
         assert_same_topk(ids, dists, gt_ids[qi], gt_d[qi])
 
 
-def test_fixed_step_search_works(setup):
-    ds, (gt_ids, _), index = setup
-    s = IVFPDXSearcher(index, ds.data, ADSampling(ds.dim, seed=0))
-    found = np.stack(
-        [s.search(q, 10, nprobe=index.nlist, fixed_step=32)[0] for q in ds.queries]
-    )
-    assert vecdata.recall_at_k(found, gt_ids) >= 0.95
-
-
 def test_explicit_nlist():
     ds = vecdata.generate("nytimes16", sf=0.001)
     index = build_ivf(ds.data, nlist=7, seed=1)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.ivf import kmeans as kmeans_mod
 from repro.ivf.kmeans import assign, kmeans
 from repro.vecdata import random_collection
 
@@ -16,12 +17,12 @@ def test_assign_matches_naive():
     np.testing.assert_array_equal(got, naive)
 
 
-def test_assign_chunked_consistent():
+def test_assign_chunked_consistent(monkeypatch):
     data = random_collection(500, 6, seed=2)
     cents = random_collection(7, 6, seed=3)
-    np.testing.assert_array_equal(
-        assign(data, cents, chunk=64), assign(data, cents, chunk=100000)
-    )
+    whole = assign(data, cents)
+    monkeypatch.setattr(kmeans_mod, "ASSIGN_CHUNK", 64)
+    np.testing.assert_array_equal(assign(data, cents), whole)
 
 
 def test_kmeans_deterministic():
@@ -71,3 +72,15 @@ def test_kmeans_k_equals_n():
     cents, labels = kmeans(data, 6, seed=14)
     # every point its own cluster (up to permutation)
     assert len(set(labels.tolist())) == 6
+
+
+def test_kmeans_reseeds_empty_clusters_to_distinct_points():
+    # 64 distinct points, each repeated 5 times: seeding can pick equal
+    # rows, so clusters go empty together in one iteration. Each must
+    # get a point of its own, not all the same farthest point.
+    points = np.arange(64, dtype=np.float32)[:, None] * np.ones((1, 2), np.float32)
+    x = np.repeat(points, 5, axis=0)
+    for seed in range(20):
+        cents, labels = kmeans(x, 48, seed=seed)
+        assert len(np.unique(cents, axis=0)) == 48, seed
+        assert np.bincount(labels, minlength=48).min() > 0, seed

@@ -8,11 +8,17 @@ from repro.core import layout
 from repro.vecdata import random_collection
 
 
+def _to_rows(coll):
+    """Invert ``build_pdx``: the (N, D) rows and the ids, in block order."""
+    back = np.hstack([b.data for b in coll.blocks]).T
+    return back, np.concatenate([b.ids for b in coll.blocks])
+
+
 @pytest.mark.parametrize("n,block", [(64, 64), (130, 64), (1000, 64), (37, 16), (512, 128)])
 def test_build_roundtrip(n, block):
     data = random_collection(n, 24, seed=n)
     coll = layout.build_pdx(data, block_size=block)
-    back, ids = layout.to_nary(coll)
+    back, ids = _to_rows(coll)
     np.testing.assert_array_equal(back, data)
     np.testing.assert_array_equal(ids, np.arange(n))
     assert coll.n == n
@@ -37,7 +43,7 @@ def test_block_sizes_given_in_turn():
     data = random_collection(100, 3, seed=0)
     coll = layout.build_pdx(data, ids=np.arange(100) + 7, block_size=[10, 30, 60])
     assert [b.n for b in coll.blocks] == [10, 30, 60]
-    back, ids = layout.to_nary(coll)
+    back, ids = _to_rows(coll)
     np.testing.assert_array_equal(back, data)
     np.testing.assert_array_equal(ids, np.arange(100) + 7)
     with pytest.raises(ValueError, match="sum to 99"):
@@ -55,7 +61,7 @@ def test_custom_ids_preserved():
     data = random_collection(70, 4, seed=2)
     ids = np.arange(1000, 1070)
     coll = layout.build_pdx(data, ids=ids)
-    _, back_ids = layout.to_nary(coll)
+    _, back_ids = _to_rows(coll)
     np.testing.assert_array_equal(back_ids, ids)
 
 

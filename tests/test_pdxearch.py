@@ -30,15 +30,9 @@ def test_dimension_steps_adaptive_doubles():
     assert sum(dimension_steps(1536)) == 1536
 
 
-def test_dimension_steps_fixed():
-    assert dimension_steps(128, fixed=32) == [32, 32, 32, 32]
-    assert dimension_steps(50, fixed=32) == [32, 18]
-
-
 @pytest.mark.parametrize("dim", [1, 7, 16, 50, 768, 1536])
 def test_dimension_steps_cover_all_dims(dim):
     assert sum(dimension_steps(dim)) == dim
-    assert sum(dimension_steps(dim, fixed=32)) == dim
 
 
 # ----------------------------------------------------------------- exactness
@@ -132,21 +126,6 @@ def test_bsa_recall(name):
     coll = build_pdx(bsa.transform_data(ds.data))
     found = np.stack([pdxearch(coll, q, 10, bsa)[0] for q in ds.queries])
     assert vecdata.recall_at_k(found, gt_ids) >= 0.95
-
-
-def test_adaptive_and_fixed_steps_same_recall(glove):
-    """Adaptive steps change when the predicate runs, not its guarantees
-    (§6.3 'Adaptive vs fixed steps')."""
-    ds, (gt_ids, _) = glove
-    ads = ADSampling(ds.dim, seed=0)
-    coll = build_pdx(ads.transform_data(ds.data))
-    adaptive = np.stack([pdxearch(coll, q, 10, ads)[0] for q in ds.queries])
-    fixed = np.stack(
-        [pdxearch(coll, q, 10, ads, fixed_step=32)[0] for q in ds.queries]
-    )
-    r_a = vecdata.recall_at_k(adaptive, gt_ids)
-    r_f = vecdata.recall_at_k(fixed, gt_ids)
-    assert r_a >= 0.95 and r_f >= 0.95
 
 
 def test_linear_pruner_in_framework_is_exact(glove):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import projections
 from repro.core.projections import PCAProjection, random_orthogonal
 from repro.vecdata import random_collection
 
@@ -53,21 +54,19 @@ def test_pca_concentrates_variance_in_early_dims():
     y = p.transform(x)
     var = y.var(axis=0)
     assert var[0] > var[-1] * 10
-    assert np.all(np.diff(p.explained) <= 1e-6)
+    assert np.all(np.diff(var) <= 1e-6)
 
 
-def test_pca_explained_matches_transformed_variance():
-    x = random_collection(2000, 10, seed=7)
-    p = PCAProjection.fit(x, sample=None)
-    y = p.transform(x).astype(np.float64)
-    np.testing.assert_allclose(y.var(axis=0, ddof=1), p.explained, rtol=0.05)
-
-
-def test_pca_sampled_fit_close_to_full_fit():
+def test_pca_sampled_fit_close_to_full_fit(monkeypatch):
+    # Fit on every row, the transformed variances descend; fit on a
+    # 2000-row sample, they stay close to the full fit's.
     x = random_collection(5000, 8, seed=8)
-    full = PCAProjection.fit(x, sample=None)
-    sub = PCAProjection.fit(x, sample=2000)
-    np.testing.assert_allclose(sub.explained, full.explained, rtol=0.2)
+    monkeypatch.setattr(projections, "PCA_SAMPLE", len(x))
+    full = PCAProjection.fit(x).transform(x).astype(np.float64).var(axis=0, ddof=1)
+    monkeypatch.setattr(projections, "PCA_SAMPLE", 2000)
+    sub = PCAProjection.fit(x).transform(x).astype(np.float64).var(axis=0, ddof=1)
+    assert np.all(np.diff(full) <= 1e-6)
+    np.testing.assert_allclose(sub, full, rtol=0.2)
 
 
 def test_pca_transform_single_vector_shape():
@@ -80,11 +79,12 @@ def test_pca_transform_single_vector_shape():
 def test_pca_thin_svd_equals_full_svd():
     # More rows than D: the thin SVD's Vt is already (D, D).
     x = random_collection(600, 24, seed=10)
-    p = PCAProjection.fit(x, sample=None)
+    p = PCAProjection.fit(x)
     xc = x.astype(np.float64) - x.astype(np.float64).mean(axis=0)
     _, s, vt = np.linalg.svd(xc, full_matrices=True)
     np.testing.assert_allclose(p.components, vt.astype(np.float32), rtol=0, atol=1e-6)
-    np.testing.assert_allclose(p.explained, s**2 / (len(x) - 1), rtol=1e-12)
+    y = p.transform(x).astype(np.float64)
+    np.testing.assert_allclose(y.var(axis=0, ddof=1), s**2 / (len(x) - 1), rtol=1e-5)
 
 
 def test_pca_fewer_rows_than_dims_keeps_full_basis():
@@ -92,5 +92,5 @@ def test_pca_fewer_rows_than_dims_keeps_full_basis():
     p = PCAProjection.fit(x)
     assert p.components.shape == (30, 30)
     np.testing.assert_allclose(p.components @ p.components.T, np.eye(30), atol=1e-5)
-    assert p.explained.shape == (30,)
-    np.testing.assert_array_equal(p.explained[10:], 0.0)
+    # 10 rows span at most 10 axes: the data has no extent along the rest.
+    np.testing.assert_allclose(p.transform(x)[:, 10:], 0.0, atol=1e-5)

@@ -14,7 +14,7 @@ from repro.core.pruners import ADSampling, PDXBond
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
 from repro.ivf.index import IVFNarySearcher, IVFPDXSearcher, build_ivf
-from repro.search.exact import build_exact_collection, pdx_bond_search
+from repro.search.exact import pdx_bond_search
 from repro.search.horizontal import horizontal_pruned_search
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -26,7 +26,7 @@ def searches():
     ds = vecdata.generate("glove50", sf=0.002, n_queries=3, seed=5)
     ads = ADSampling(ds.dim, seed=0)
     ads_coll = build_pdx(ads.transform_data(ds.data))
-    exact_coll = build_exact_collection(ds.data, block_size=500)
+    exact_coll = build_pdx(ds.data, block_size=500)
     index = build_ivf(ds.data, seed=0)
     ivf_pdx = IVFPDXSearcher(index, ds.data, ads)
     ivf_nary = IVFNarySearcher(index, ds.data, ads)
