@@ -12,7 +12,9 @@ PDX BSA, PDX BOND) over the same IVF index at a target recall, with one
 ``nprobe`` is tuned per algorithm by doubling until recall ≥ target
 (the paper tunes recall with nprobe, §6.1); the N-ary variant of an
 algorithm reuses its PDX twin's nprobe (identical pruning semantics on
-identical buckets ⇒ identical recall).
+identical buckets ⇒ identical recall). Every algorithm is warmed with
+one untimed pass over the queries, then timed over three; each phase
+reports its median pass.
 """
 from __future__ import annotations
 
@@ -51,11 +53,22 @@ def tune_nprobe(
     return max_nprobe
 
 
-def _run_timed(searcher, queries: np.ndarray, k: int, nprobe: int):
-    trace = Trace()
+#: Timed passes over the queries per algorithm; each phase reports its median.
+TIMED_PASSES = 3
+
+
+def _run_timed(searcher, queries: np.ndarray, k: int, nprobe: int) -> dict:
+    """Per-phase seconds over all queries: the median of
+    :data:`TIMED_PASSES` timed passes, after one untimed warm-up pass."""
     for q in queries:
-        searcher.search(q, k, nprobe=nprobe, trace=trace)
-    return trace.seconds
+        searcher.search(q, k, nprobe=nprobe)
+    passes = []
+    for _ in range(TIMED_PASSES):
+        trace = Trace()
+        for q in queries:
+            searcher.search(q, k, nprobe=nprobe, trace=trace)
+        passes.append(trace.seconds)
+    return {p: float(np.median([s.get(p, 0.0) for s in passes])) for p in PHASES}
 
 
 def breakdown_row(name: str, seconds: dict, n_queries: int) -> dict:

@@ -128,8 +128,12 @@ def l2_accumulate(
             diff = np.subtract(sub, query[sl][:, None], order="C")
         else:
             # A gather is a fresh C-ordered copy, so the query is subtracted
-            # in place. PRUNE phase: gather only (dims × positions).
-            diff = block[dims] if positions is None else block[dims[:, None], positions]
+            # in place. PRUNE phase: gather only (dims × positions), as one
+            # flat take of the C-contiguous block (cheaper than 2-D fancy indexing).
+            if positions is None:
+                diff = block.take(dims, axis=0)
+            else:
+                diff = block.reshape(-1).take(dims[:, None] * block.shape[1] + positions)
             np.subtract(diff, query[dims][:, None], out=diff)
         if positions is None:
             dists += np.einsum("db,db->b", diff, diff)

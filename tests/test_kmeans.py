@@ -25,6 +25,20 @@ def test_assign_chunked_consistent(monkeypatch):
     np.testing.assert_array_equal(assign(data, cents), whole)
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 7, 4096])
+def test_assign_equals_unchunked_formula(monkeypatch, chunk):
+    # 4097 rows: the default chunk leaves a ragged last chunk of one row.
+    # Labels match one unchunked argmin of ‖c‖² − 2·(x·cᵀ) bit for bit.
+    data = random_collection(4097, 12, seed=20)
+    cents = random_collection(33, 12, seed=21)
+    c64 = cents.astype(np.float64)
+    d2 = (c64 * c64).sum(axis=1)[None, :] - 2.0 * (data.astype(np.float64) @ c64.T)
+    expected = np.argmin(d2, axis=1)
+    if chunk is not None:
+        monkeypatch.setattr(kmeans_mod, "ASSIGN_CHUNK", chunk)
+    np.testing.assert_array_equal(assign(data, cents), expected)
+
+
 def test_kmeans_deterministic():
     data = random_collection(300, 4, seed=4)
     c1, l1 = kmeans(data, 6, seed=5)
