@@ -63,8 +63,6 @@ class QueryContext:
 class Pruner:
     """Base: a linear scan that never prunes (the PDX-LINEAR-SCAN baseline)."""
 
-    exact = True  # does the algorithm preserve exact top-k?
-
     def __init__(self, dim: int):
         self.dim = dim
 
@@ -93,8 +91,6 @@ class ADSampling(Pruner):
     the full distance exceeds the current k-th best ``r²``
     (ε₀ = :data:`EPSILON0`).
     """
-
-    exact = False
 
     def __init__(self, dim: int, *, seed: int = 0):
         super().__init__(dim)
@@ -145,8 +141,6 @@ class BSA(Pruner):
     learned, data-dependent lower bounds on the full distance with a
     recall-tuning multiplier.
     """
-
-    exact = False
 
     def __init__(self, dim: int):
         super().__init__(dim)
@@ -204,50 +198,40 @@ class PDXBond(Pruner):
     The lower bound is the partial distance itself (monotone in the
     number of scanned dimensions), so pruning never loses a true
     neighbour — PDX-BOND is exact. Dimensions are visited in an order
-    chosen per query:
+    chosen per query from the collection's ``meta.dim_means``:
 
-    - ``sequential`` — storage order (no query awareness);
-    - ``decreasing`` — BOND's original criterion, largest |query value|
-      first;
-    - ``means`` — the paper's "distance to means": largest
-      |q_d − mean_d| first (``prepare`` needs ``meta.dim_means``);
+    - ``means`` (default) — the paper's "distance to means": largest
+      |q_d − mean_d| first;
     - ``zones`` — the paper's "dimension zones": consecutive runs of
       ``max(8, D // 16)`` dims ranked by their mean distance-to-means,
       dims sequential inside a zone (trades pruning power for sequential
-      access; default for IVF-sized blocks; needs ``meta`` too).
+      access; the IVF searchers use it).
     """
-
-    exact = True
 
     def __init__(self, dim: int, *, order: str = "means"):
         super().__init__(dim)
-        if order not in {"sequential", "decreasing", "means", "zones"}:
+        if order not in {"means", "zones"}:
             raise ValueError(f"unknown order {order!r}")
         self.order = order
 
     def prepare(self, query: np.ndarray, meta: HasDimMeans | None = None) -> QueryContext:
         q = np.ascontiguousarray(query, dtype=np.float32)
         d = self.dim
-        if self.order == "sequential":
-            return QueryContext(query=q, dim_order=range(d))
-        if self.order == "decreasing":
-            idx = np.argsort(-np.abs(q), kind="stable")
-        else:
-            gap = np.abs(q.astype(np.float64) - meta.dim_means.astype(np.float64))
-            if self.order == "means":
-                idx = np.argsort(-gap, kind="stable")
-            else:  # zones
-                z = max(8, d // 16)
-                nz = (d + z - 1) // z
-                pad = nz * z - d
-                padded = np.concatenate([gap, np.zeros(pad)])
-                counts = np.full(nz, z, dtype=np.float64)
-                if pad:
-                    counts[-1] = z - pad
-                scores = padded.reshape(nz, z).sum(axis=1) / counts
-                zone_rank = np.argsort(-scores, kind="stable")
-                idx = (zone_rank[:, None] * z + np.arange(z)[None, :]).ravel()
-                idx = idx[idx < d]  # drop padding slots of the last zone
+        gap = np.abs(q.astype(np.float64) - meta.dim_means.astype(np.float64))
+        if self.order == "means":
+            idx = np.argsort(-gap, kind="stable")
+        else:  # zones
+            z = max(8, d // 16)
+            nz = (d + z - 1) // z
+            pad = nz * z - d
+            padded = np.concatenate([gap, np.zeros(pad)])
+            counts = np.full(nz, z, dtype=np.float64)
+            if pad:
+                counts[-1] = z - pad
+            scores = padded.reshape(nz, z).sum(axis=1) / counts
+            zone_rank = np.argsort(-scores, kind="stable")
+            idx = (zone_rank[:, None] * z + np.arange(z)[None, :]).ravel()
+            idx = idx[idx < d]  # drop padding slots of the last zone
         return QueryContext(query=q, dim_order=idx.astype(np.int64))
 
     def prune_mask(self, partial, nscanned, threshold):

@@ -45,13 +45,11 @@ class IVFIndex:
         return len(self.bucket_ids)
 
 
-def build_ivf(
-    data: np.ndarray, *, nlist: int | None = None, iters: int = 8, seed: int = 0
-) -> IVFIndex:
+def build_ivf(data: np.ndarray, *, nlist: int | None = None, seed: int = 0) -> IVFIndex:
     n = len(data)
     if nlist is None:
         nlist = max(1, int(np.sqrt(n)))
-    centroids, labels = kmeans(data, nlist, iters=iters, seed=seed)
+    centroids, labels = kmeans(data, nlist, seed=seed)
     buckets = [np.flatnonzero(labels == c).astype(np.int64) for c in range(nlist)]
     return IVFIndex(centroids=centroids, bucket_ids=buckets)
 

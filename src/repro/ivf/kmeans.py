@@ -37,7 +37,7 @@ def assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def kmeans(
-    data: np.ndarray, k: int, *, iters: int = 10, seed: int = 0
+    data: np.ndarray, k: int, *, iters: int = 8, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run Lloyd's algorithm; returns ``(centroids (k, D), assignment (N,))``."""
     n = len(data)

@@ -12,16 +12,12 @@ Blocks of ``PDX_BLOCK_SIZE`` vectors are formed by ``id`` order
 (``row_number`` over id), so the mapping is deterministic and
 round-trippable. The heavy lifting is an ``applyInPandas`` group
 transform — each group becomes exactly one block row, transposed with
-NumPy inside the executor.
-
-``transform_vectors`` applies a pruner's collection preprocessing
-(ADSampling rotation / BSA PCA) as a ``mapInPandas`` transformation so
-ADS/BSA blocks can be built in the transformed space, mirroring the
-paper's index-build pipeline.
+NumPy inside the executor. ADS/BSA tables are built from vectors that
+are already in the pruner's transformed space (``pruner.transform_data``
+before ``vecdata.to_spark``). ``rows_to_pdx_blocks`` turns block rows
+back into ``PDXBlock`` objects on the executor.
 """
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 import pandas as pd
@@ -30,7 +26,6 @@ from pyspark.sql import functions as F
 
 from repro.core.kernels import PDX_BLOCK_SIZE, squared_norms
 from repro.core.layout import PDXBlock
-from repro.core.pruners import Pruner
 
 BLOCK_SCHEMA = "block_id long, n int, ids array<long>, data array<double>"
 
@@ -54,22 +49,6 @@ def vectors_to_blocks(df: DataFrame) -> DataFrame:
     row = F.row_number().over(Window.orderBy("id")) - F.lit(1)
     with_block = df.withColumn("block_id", (row / F.lit(PDX_BLOCK_SIZE)).cast("long"))
     return with_block.groupBy("block_id").applyInPandas(make_block, BLOCK_SCHEMA)
-
-
-def transform_vectors(df: DataFrame, pruner: Pruner) -> DataFrame:
-    """Apply ``pruner.transform_data`` to every vector (mapInPandas)."""
-
-    def apply(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            mat = np.array(pdf["vec"].tolist(), dtype=np.float32)
-            out = pruner.transform_data(mat)
-            yield pd.DataFrame(
-                {"id": pdf["id"].to_numpy(), "vec": list(map(list, out.astype(float)))}
-            )
-
-    return df.mapInPandas(apply, schema="id long, vec array<double>")
 
 
 def rows_to_pdx_blocks(pdf: pd.DataFrame) -> list[PDXBlock]:

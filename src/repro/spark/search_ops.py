@@ -3,10 +3,11 @@
 The paper's contribution is a physical layout + scan operator, below
 the relational layer — so per the layering rule it is expressed as a
 ``mapInPandas`` physical transformation rather than a Catalyst rule
-(DESIGN.md §2): each executor partition streams its PDX block rows
-through the *same* NumPy PDXearch code used in ``repro.core``, keeping
-one top-k heap per (partition, query) so the pruning threshold
-propagates block-to-block exactly as in §4. Per-partition candidates
+(DESIGN.md §2): each executor partition gathers its PDX block rows into
+one ``PDXCollection`` and runs every query through the *same*
+``pdxearch`` used in ``repro.core``, so the pruning threshold propagates
+block-to-block exactly as in §4, and PDX-BOND's dimension means are
+those of every vector in the partition. Per-partition candidates
 (a superset of the global top-k) are then reduced with a Spark SQL
 window ``row_number() ... ORDER BY dist, id`` — Catalyst handles the
 relational part, the block scan stays columnar inside the executor.
@@ -18,17 +19,39 @@ enter the partition's own top-k, a superset of the global one.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.pdxearch import search_blocks
-from repro.core.pruners import Pruner, QueryContext
-from repro.core.topk import TopK
+from repro.core.layout import PDXCollection
+from repro.core.pdxearch import pdxearch
+from repro.core.pruners import Pruner
 from repro.spark.layout_ops import rows_to_pdx_blocks
+
+
+def search_partition(
+    batches: Iterator[pd.DataFrame], queries: np.ndarray, k: int, pruner: Pruner
+) -> Iterator[pd.DataFrame]:
+    """The ``knn`` executor: PDXearch every query over one partition's
+    blocks, gathered from all of its Arrow batches into one collection
+    whose ``dim_means`` average every vector of the partition. Yields one
+    ``(qid, id, dist)`` frame, or nothing for an empty partition."""
+    blocks = [b for pdf in batches for b in rows_to_pdx_blocks(pdf)]
+    if not blocks:
+        return
+    sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
+    means = sums / sum(b.n for b in blocks)
+    coll = PDXCollection(blocks=blocks, dim=len(means), dim_means=means.astype(np.float32))
+    rows = {"qid": [], "id": [], "dist": []}
+    for qi, q in enumerate(queries):
+        ids, dists = pdxearch(coll, q, k, pruner)
+        rows["qid"].extend([qi] * len(ids))
+        rows["id"].extend(ids.tolist())
+        rows["dist"].extend(dists.tolist())
+    yield pd.DataFrame(rows)
 
 
 def knn(
@@ -44,37 +67,13 @@ def knn(
     distance (ties by id). ``queries`` are raw-space; the
     pruner (default: exact linear scan) transforms them executor-side.
     The block table must have been built over ``pruner.transform_data``
-    output (see ``layout_ops.transform_vectors``).
+    output.
     """
     q_arr = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
-    dim = q_arr.shape[1]
-
-    def search_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        local_pruner = pruner if pruner is not None else Pruner(dim)
-        heaps: list[TopK] = [TopK(k) for _ in range(len(q_arr))]
-        ctxs: list[QueryContext] | None = None
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            blocks = rows_to_pdx_blocks(pdf)
-            if ctxs is None:
-                # BOND's dimension means over the first batch's vectors.
-                sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
-                means = sums / sum(b.n for b in blocks)
-                meta = SimpleNamespace(dim_means=means.astype(np.float32))
-                ctxs = [local_pruner.prepare(q, meta) for q in q_arr]
-            for ctx, heap in zip(ctxs, heaps):
-                search_blocks(blocks, ctx, local_pruner, heap)
-        rows = {"qid": [], "id": [], "dist": []}
-        for qi, heap in enumerate(heaps):
-            ids, dists = heap.result()
-            rows["qid"].extend([qi] * len(ids))
-            rows["id"].extend(ids.tolist())
-            rows["dist"].extend(dists.tolist())
-        yield pd.DataFrame(rows)
-
+    pruner = pruner or Pruner(q_arr.shape[1])
     candidates = blocks_df.mapInPandas(
-        search_partition, schema="qid long, id long, dist double"
+        partial(search_partition, queries=q_arr, k=k, pruner=pruner),
+        schema="qid long, id long, dist double",
     )
     w = Window.partitionBy("qid").orderBy(F.col("dist").asc(), F.col("id").asc())
     return (

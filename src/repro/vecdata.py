@@ -11,8 +11,7 @@ thousand vectors and benchmarks at tens of thousands.
 ``generate`` returns a :class:`VectorDataset` holding the collection, the
 held-out query set, and the spec. ``ground_truth`` computes exact KNN
 (the recall oracle). ``to_spark`` lifts a collection into a Spark
-DataFrame; ``to_pandas_wide`` and ``knn_sql`` give the DuckDB oracle its
-wide table and brute-force query at small D.
+DataFrame.
 """
 from __future__ import annotations
 
@@ -204,26 +203,3 @@ def to_spark(spark: SparkSession, data: np.ndarray) -> DataFrame:
     )
     return spark.createDataFrame(pdf, schema="id long, vec array<float>")
 
-
-def to_pandas_wide(data: np.ndarray) -> pd.DataFrame:
-    cols = {"id": np.arange(len(data), dtype=np.int64)}
-    for d in range(data.shape[1]):
-        cols[f"d{d}"] = data[:, d].astype(np.float64)
-    return pd.DataFrame(cols)
-
-
-def knn_sql(query: np.ndarray, k: int, table: str = "vecs", alias: str = "dist") -> str:
-    """Brute-force KNN as SQL over a wide table — the DuckDB oracle query.
-
-    Produces ``SELECT id, <sum of squares> AS <alias> FROM t ORDER BY
-    <alias>, id LIMIT k``; ties broken by id to keep the oracle
-    deterministic.
-    """
-    terms = " + ".join(
-        f"(d{i} - ({float(v)!r})) * (d{i} - ({float(v)!r}))"
-        for i, v in enumerate(query)
-    )
-    return (
-        f"SELECT id, {terms} AS {alias} FROM {table} "
-        f"ORDER BY {alias} ASC, id ASC LIMIT {k}"
-    )

@@ -41,7 +41,7 @@ def _literal_trace(data, queries, pruner, k=10, block_size=PDX_BLOCK_SIZE):
 
 
 @pytest.mark.parametrize(
-    "pruner_name", ["linear", "ads", "bsa", "bond_means", "bond_seq"]
+    "pruner_name", ["linear", "ads", "bsa", "bond_means", "bond_zones"]
 )
 def test_trace_matches_literal_simulation(pruner_name):
     ds = vecdata.generate("nytimes16", sf=0.0008, n_queries=5, seed=9)
@@ -51,7 +51,7 @@ def test_trace_matches_literal_simulation(pruner_name):
         "ads": lambda: ADSampling(dim, seed=0),
         "bsa": lambda: BSA(dim).fit(ds.data),
         "bond_means": lambda: PDXBond(dim, order="means"),
-        "bond_seq": lambda: PDXBond(dim, order="sequential"),
+        "bond_zones": lambda: PDXBond(dim, order="zones"),
     }[pruner_name]()
     fast = pruning_power_trace(ds.data, ds.queries, pruner)
     slow = _literal_trace(ds.data, ds.queries, pruner)

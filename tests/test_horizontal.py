@@ -5,6 +5,7 @@ import pytest
 from _util import assert_same_topk
 
 from repro import vecdata
+from repro.core.layout import build_pdx
 from repro.core.pruners import ADSampling, PDXBond
 from repro.core.topk import TopK
 from repro.core.trace import Trace
@@ -18,12 +19,18 @@ def ds():
     return d, gt
 
 
-def test_horizontal_with_exact_pruner_is_exact(ds):
+@pytest.fixture(scope="module")
+def meta(ds):
+    """PDX-BOND's metadata; the horizontal scan ignores its dimension order."""
+    return build_pdx(ds[0].data)
+
+
+def test_horizontal_with_exact_pruner_is_exact(ds, meta):
     d, (gt_ids, gt_d) = ds
-    bond = PDXBond(d.dim, order="sequential")
+    bond = PDXBond(d.dim, order="means")
     ids_all = np.arange(d.n, dtype=np.int64)
     for qi, q in enumerate(d.queries):
-        ctx = bond.prepare(q)
+        ctx = bond.prepare(q, meta)
         heap = TopK(10)
         horizontal_pruned_search(d.data, ids_all, ctx, bond, heap)
         got_ids, got_d = heap.result()
@@ -45,10 +52,10 @@ def test_horizontal_ads_recall(ds, monkeypatch):
     assert vecdata.recall_at_k(np.stack(found), gt_ids) >= 0.95
 
 
-def test_horizontal_timers(ds):
+def test_horizontal_timers(ds, meta):
     d, _ = ds
-    bond = PDXBond(d.dim, order="sequential")
-    ctx = bond.prepare(d.queries[0])
+    bond = PDXBond(d.dim, order="means")
+    ctx = bond.prepare(d.queries[0], meta)
     heap = TopK(10)
     trace = Trace()
     horizontal_pruned_search(
@@ -57,11 +64,11 @@ def test_horizontal_timers(ds):
     assert trace.seconds["distance"] > 0
 
 
-def test_heap_shared_across_calls(ds):
+def test_heap_shared_across_calls(ds, meta):
     """Chained bucket scans must keep tightening one heap (IVF use)."""
     d, (gt_ids, gt_d) = ds
-    bond = PDXBond(d.dim, order="sequential")
-    ctx = bond.prepare(d.queries[0])
+    bond = PDXBond(d.dim, order="means")
+    ctx = bond.prepare(d.queries[0], meta)
     heap = TopK(10)
     half = d.n // 2
     horizontal_pruned_search(d.data[:half], np.arange(half, dtype=np.int64), ctx, bond, heap)

@@ -4,8 +4,7 @@ import pytest
 
 from repro import vecdata
 from repro.core.layout import build_pdx
-from repro.core.pruners import ADSampling
-from repro.spark.layout_ops import rows_to_pdx_blocks, transform_vectors, vectors_to_blocks
+from repro.spark.layout_ops import rows_to_pdx_blocks, vectors_to_blocks
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +43,6 @@ def test_block_data_dimension_major(ds, blocks_pdf):
     mat = np.asarray(row["data"]).reshape(ds.dim, n)
     np.testing.assert_allclose(mat[:, 0], ds.data[0], rtol=1e-6)
     np.testing.assert_allclose(mat[3], ds.data[:n, 3], rtol=1e-6)
-
-
-def test_transform_vectors_matches_local(spark, ds):
-    ads = ADSampling(ds.dim, seed=1)
-    df = vecdata.to_spark(spark, ds.data[:100])
-    out = transform_vectors(df, ads).orderBy("id").toPandas()
-    got = np.array(out["vec"].tolist(), dtype=np.float32)
-    want = ads.transform_data(ds.data[:100])
-    np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-4)
 
 
 def test_ragged_last_block_roundtrip(spark):

@@ -1,20 +1,23 @@
 """The Spark PDX KNN operator, checked against the DuckDB oracle.
 
-Every query-result test goes through ``repro.oracle.assert_equivalent``:
-the same KNN is expressed as plain SQL over a wide (d0…dD−1) table and
-run on DuckDB; sorted rows must match the Spark operator's output.
+``test_knn_matches_duckdb_oracle`` goes through the oracle's
+``assert_equivalent``: the same KNN is expressed as plain SQL over a
+wide (d0…dD−1) table and run on DuckDB; sorted rows must match the Spark
+operator's output. The others check ``knn`` against the NumPy ground
+truth, and its executor without Spark.
 """
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from _oracle import assert_equivalent, knn_sql, to_pandas_wide
 from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core.pruners import ADSampling, PDXBond
-from repro.oracle import assert_equivalent
-from repro.spark.layout_ops import transform_vectors, vectors_to_blocks
-from repro.spark.search_ops import knn
+from repro.spark.layout_ops import vectors_to_blocks
+from repro.spark.search_ops import knn, search_partition
 
 K = 10
 
@@ -32,14 +35,14 @@ def blocks(spark, ds):
 
 def test_knn_matches_duckdb_oracle(spark, ds, blocks):
     """Exact linear-scan KNN vs the same query in SQL on DuckDB."""
-    wide = vecdata.to_pandas_wide(ds.data)
+    wide = to_pandas_wide(ds.data)
     for qi in range(3):
         got = (
             knn(blocks, ds.queries[qi], K)
             .where(F.col("qid") == 0)
             .select("id", F.round("dist", 4).alias("dist"))
         )
-        inner = vecdata.knn_sql(ds.queries[qi], K, table="vecs", alias="exact_dist")
+        inner = knn_sql(ds.queries[qi], K, table="vecs", alias="exact_dist")
         sql = f"SELECT id, ROUND(exact_dist, 4) AS dist FROM ({inner}) t"
         assert_equivalent(got, sql, vecs=wide)
 
@@ -63,8 +66,8 @@ def test_knn_multiquery_shape(ds, blocks):
 
 def test_knn_ads_recall_on_spark(spark, ds):
     ads = ADSampling(ds.dim, seed=2)
-    df = vecdata.to_spark(spark, ds.data)
-    tblocks = vectors_to_blocks(transform_vectors(df, ads)).repartition(3)
+    df = vecdata.to_spark(spark, ads.transform_data(ds.data))
+    tblocks = vectors_to_blocks(df).repartition(3)
     gt_ids, _ = vecdata.ground_truth(ds.data, ds.queries, K)
     out = knn(tblocks, ds.queries, K, ads).toPandas()
     found = np.stack(
@@ -95,3 +98,32 @@ def test_knn_single_query_1d_input(ds, blocks):
     out = knn(blocks, ds.queries[0], 5).toPandas()
     assert len(out) == 5
     assert (out["qid"] == 0).all()
+
+
+class _RecordingBond(PDXBond):
+    """PDX-BOND that records the dimension means ``prepare`` is given."""
+
+    def __init__(self, dim):
+        super().__init__(dim, order="means")
+        self.means = []
+
+    def prepare(self, query, meta=None):
+        self.means.append(meta.dim_means)
+        return super().prepare(query, meta)
+
+
+def test_executor_reads_every_batch_of_its_partition(ds, blocks):
+    """One partition's block rows, as one Arrow batch or as three, give
+    the same rows, and PDX-BOND orders by the means of all its vectors."""
+    rows = blocks.toPandas()
+    want_means = ds.data.astype(np.float64).mean(axis=0).astype(np.float32)
+    frames = []
+    for parts in (1, 3):
+        bond = _RecordingBond(ds.dim)
+        batches = [rows.iloc[idx] for idx in np.array_split(np.arange(len(rows)), parts)]
+        frames.append(pd.concat(search_partition(iter(batches), ds.queries, K, bond)))
+        assert len(bond.means) == len(ds.queries)
+        for means in bond.means:
+            np.testing.assert_array_equal(means, want_means)
+    pd.testing.assert_frame_equal(frames[0], frames[1])
+    assert list(search_partition(iter([]), ds.queries, K, PDXBond(ds.dim))) == []

@@ -30,12 +30,14 @@ def searches():
     index = build_ivf(ds.data, seed=0)
     ivf_pdx = IVFPDXSearcher(index, ds.data, ads)
     ivf_nary = IVFNarySearcher(index, ds.data, ads)
-    bond = PDXBond(ds.dim, order="sequential")
+    bond = PDXBond(ds.dim, order="means")
     ids = np.arange(ds.n, dtype=np.int64)
 
     def horizontal(q, trace):
         heap = TopK(10)
-        horizontal_pruned_search(ds.data, ids, bond.prepare(q), bond, heap, trace=trace)
+        horizontal_pruned_search(
+            ds.data, ids, bond.prepare(q, exact_coll), bond, heap, trace=trace
+        )
         return heap.result()
 
     ivf = ["query_prep", "find_buckets", "distance"]

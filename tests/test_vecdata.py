@@ -7,6 +7,7 @@ import duckdb
 import numpy as np
 import pytest
 
+from _oracle import knn_sql, to_pandas_wide
 from repro import vecdata
 
 ALL = sorted(vecdata.DATASETS)
@@ -145,11 +146,11 @@ def test_recall_at_k_ragged_results_count_missing_ids_as_misses():
 def test_knn_sql_matches_ground_truth_duckdb():
     ds = vecdata.generate("nytimes16", sf=0.001, n_queries=3)
     gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries, 5)
-    wide = vecdata.to_pandas_wide(ds.data)
+    wide = to_pandas_wide(ds.data)
     con = duckdb.connect()
     con.register("vecs", wide)
     for qi, q in enumerate(ds.queries):
-        res = con.execute(vecdata.knn_sql(q, 5)).fetchdf()
+        res = con.execute(knn_sql(q, 5)).fetchdf()
         np.testing.assert_allclose(res["dist"].to_numpy(), gt_d[qi], rtol=1e-5)
     con.close()
 
