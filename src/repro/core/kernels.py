@@ -22,6 +22,8 @@ L2, L1, or inner product — raw, not negated).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 #: Paper default: 64 vectors per PDX block (§3, Table 5).
@@ -142,11 +144,11 @@ def l2_accumulate(
 
 
 # --------------------------------------------------------------------------
-# Certified full scan. One float32 matrix-vector product (BLAS sgemv) over
-# a whole (D, n) unit scores every vector by norm expansion; a worst-case
-# error bound turns the scores into a candidate set, which the caller
-# re-ranks with the einsum kernel. FAISS scores query batches the same way
-# (``exhaustive_L2sqr_blas``).
+# Certified full scan. One float32 matrix-vector product (BLAS sgemv) per
+# (D, n) unit scores every vector of a scan by norm expansion; one
+# worst-case error bound over the whole scan turns the scores into one
+# candidate set, which the caller re-ranks with the einsum kernel. FAISS
+# scores query batches the same way (``exhaustive_L2sqr_blas``).
 # --------------------------------------------------------------------------
 
 def _gamma(m: int, unit_roundoff: float) -> float:
@@ -170,14 +172,15 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def l2_candidates(
-    data: np.ndarray, norms: np.ndarray, query: np.ndarray, k: int
+    units: Sequence[np.ndarray], norms: Sequence[np.ndarray], query: np.ndarray, k: int
 ) -> np.ndarray:
-    """Positions of the (D, n) unit ``data`` that may hold one of its ``k``
-    smallest squared-L2 distances to ``query``; ``norms`` are the unit's
-    :func:`squared_norms`.
+    """Positions, into the concatenation of the (D, nᵢ) ``units``, of the
+    vectors that may hold one of the scan's ``k`` smallest squared-L2
+    distances to ``query``; ``norms`` are the units' :func:`squared_norms`.
 
     Each distance is estimated as ``est = ‖x‖² − 2·(q @ data) + ‖q‖²``
-    from one float32 sgemv, in float64, and bounded by ``est ± err``:
+    from one float32 sgemv per unit, in float64, and bounded by
+    ``est ± err``:
 
     - for D values a float32 dot product is off by at most
       γ_D·|q|ᵀ|x| ≤ γ_D·‖q‖·‖x‖, in any summation order;
@@ -189,21 +192,30 @@ def l2_candidates(
     einsum re-rank (a subtraction, a product, and at most 2D additions over
     its passes), so they bound the distances the caller returns. Position
     i is kept when its lower bound is at most the k-th smallest upper
-    bound: any other vector is farther than k vectors of the unit,
+    bound: any other vector is farther than k vectors of the scan,
     whatever the ties.
+
+    The units form one scan with one k-th upper bound, because no term
+    depends on the unit a vector sits in: γ_D bounds each dot product of
+    D values whichever sgemv computes it, the underflow term is per
+    product, and ‖q‖² is the same for all. The overflow guard takes the
+    largest norm of all units, so once it passes no unit's sgemv can
+    overflow.
     """
-    dim, n = data.shape
+    n = sum(data.shape[1] for data in units)
     if n <= k:
         return np.arange(n)
+    dim = len(query)
+    norms = np.concatenate(norms)
     q64 = query.astype(np.float64)
     qn = float(q64 @ q64)
     if qn * norms.max() > _F32_MAX**2 / 4:
-        return np.arange(n)  # the float32 sgemv may overflow: no cut
+        return np.arange(n)  # a float32 sgemv may overflow: no cut
     g, rerank = _gamma(dim + 64, _U64), _gamma(2 * dim + 3, _U32)
     tiny = dim * 2.0**-147  # underflow, with room to spare
     spread = np.sqrt(norms)
     spread *= 2.0 * _gamma(dim, _U32) * np.sqrt(qn)
-    dot2 = np.multiply(query @ data, -2.0, dtype=np.float64)
+    dot2 = np.multiply(np.concatenate([query @ data for data in units]), -2.0, dtype=np.float64)
     # hi, lo = est ± err less the terms all positions share, (1 ± g)·‖q‖² ± tiny
     hi = norms * (1.0 + g)
     hi += dot2

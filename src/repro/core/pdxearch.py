@@ -30,7 +30,7 @@ wall-clock seconds into the Table 7 phases: ``"query_prep"``
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -56,14 +56,26 @@ def dimension_steps(dim: int) -> list[int]:
     return steps
 
 
-def _scan_block_full(block: PDXBlock, ctx: QueryContext, heap: TopK, trace: Trace) -> None:
+def _scan_block_full(
+    blocks: Sequence[PDXBlock], ctx: QueryContext, heap: TopK, trace: Trace
+) -> None:
     # Every dimension is visited, so storage order serves any query's
-    # dimension order. Only the unit's certified candidates are re-ranked.
+    # dimension order. One certified cut selects over all the blocks; only
+    # its candidates are re-ranked, block by block, and merged once.
     trace.start()
-    positions = l2_candidates(block.data, block.norms, ctx.query, heap.k)
-    dists = _l2_block(block.data, ctx.query, positions)
+    positions = l2_candidates(
+        [b.data for b in blocks], [b.norms for b in blocks], ctx.query, heap.k
+    )
+    starts = np.cumsum([0] + [b.n for b in blocks])
+    bounds = np.searchsorted(positions, starts)  # each block's slice of positions
+    ids, dists = [], []
+    for i in np.flatnonzero(np.diff(bounds)):
+        kept = positions[bounds[i] : bounds[i + 1]] - starts[i]
+        ids.append(blocks[i].ids[kept])
+        dists.append(_l2_block(blocks[i].data, ctx.query, kept))
     trace.lap("distance")
-    heap.update(block.ids[positions], dists)
+    if ids:
+        heap.update(np.concatenate(ids), np.concatenate(dists))
 
 
 def _scan_block_pruned(
@@ -122,7 +134,7 @@ def search_blocks(
     steps = dimension_steps(len(ctx.dim_order))
     for block in blocks:
         if not np.isfinite(heap.threshold):
-            _scan_block_full(block, ctx, heap, trace)  # START phase
+            _scan_block_full([block], ctx, heap, trace)  # START phase
             continue
         _scan_block_pruned(block, ctx, pruner, heap, steps=steps, trace=trace)
     return heap
@@ -166,10 +178,10 @@ def pdx_linear_scan(
     coll: PDXCollection, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact linear scan on the PDX layout (PDX-LINEAR-SCAN baseline):
-    START's full scan (:func:`_scan_block_full`) of every block in turn,
-    under the linear pruner's context."""
+    START's full scan (:func:`_scan_block_full`) of all blocks at once,
+    one certified cut and one top-k merge per query, under the linear
+    pruner's context."""
     ctx = Pruner(coll.dim).prepare(query)
     heap = TopK(k)
-    for block in coll.blocks:
-        _scan_block_full(block, ctx, heap, NO_TRACE)
+    _scan_block_full(coll.blocks, ctx, heap, NO_TRACE)
     return heap.result()

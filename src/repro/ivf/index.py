@@ -15,7 +15,12 @@ starts with one shared probe step (``_IVFSearcher._probe``):
   buckets" is one call of the PDX kernel (Table 7's observation).
 - :class:`IVFNarySearcher` — buckets stored row-major; either a plain
   linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
-  horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins).
+  horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins). IVF_FLAT
+  never prunes, so it needs no running threshold: it scores each probed
+  bucket with one kernel call and selects the query's top-k once, over
+  all probed buckets (:func:`~repro.core.topk.smallest`), as FAISS keeps
+  one heap per query. The result equals a merge bucket by bucket, bit
+  for bit, since one (distance, id) order decides both.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from repro.core.kernels import l2_accumulate, l2_nary
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import search_blocks
 from repro.core.pruners import Pruner, QueryContext
-from repro.core.topk import TopK
+from repro.core.topk import TopK, smallest
 from repro.core.trace import NO_TRACE, Trace
 from repro.ivf.kmeans import kmeans
 from repro.search.horizontal import horizontal_pruned_search
@@ -78,7 +83,10 @@ class _IVFSearcher:
         self, query: np.ndarray, nprobe: int, trace: Trace
     ) -> tuple[QueryContext, np.ndarray]:
         """The query's context and its ``nprobe`` nearest buckets, nearest
-        first (ties by bucket number)."""
+        first (ties by bucket number); ``nprobe = 0`` probes none and
+        ``nprobe < 0`` raises ``ValueError``."""
+        if nprobe < 0:
+            raise ValueError("nprobe must be >= 0")
         trace.start()
         ctx = self.pruner.prepare(query, self)
         trace.lap("query_prep")
@@ -136,14 +144,26 @@ class IVFNarySearcher(_IVFSearcher):
         trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
-        ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT)."""
+        ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT),
+        one kernel call per probed bucket and one top-k selection."""
         ctx, probe = self._probe(query, nprobe, trace)
-        heap = TopK(k)
+        heap = TopK(k)  # rejects k < 1, for the flat scan too
+        if not pruned:
+            buckets = [self.buckets[c] for c in probe if len(self.buckets[c][1])]
+            trace.start()
+            dists = [l2_nary(bdata, ctx.query) for bdata, _ in buckets]
+            trace.lap("distance")
+            ids = [bids for _, bids in buckets]
+            return smallest(
+                np.concatenate([np.empty(0, np.int64), *ids]),
+                np.concatenate([np.empty(0), *dists]),
+                k,
+            )
         for c in probe:
             bdata, bids = self.buckets[c]
             if len(bids) == 0:
                 continue
-            if pruned and np.isfinite(heap.threshold):
+            if np.isfinite(heap.threshold):
                 horizontal_pruned_search(bdata, bids, ctx, self.pruner, heap, trace=trace)
             else:
                 trace.start()

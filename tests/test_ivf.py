@@ -5,8 +5,12 @@ import pytest
 from _util import assert_same_topk
 
 from repro import vecdata
+from repro.core import topk
+from repro.core.kernels import l2_nary
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
-from repro.core.trace import Trace
+from repro.core.topk import TopK
+from repro.core.trace import NO_TRACE, Trace
+from repro.ivf import index as ivf_index
 from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
 
 
@@ -125,3 +129,71 @@ def test_explicit_nlist():
     index = build_ivf(ds.data, nlist=7, seed=1)
     assert index.nlist == 7
     assert index.centroids.shape == (7, 16)
+
+
+@pytest.fixture(scope="module")
+def glove_flat():
+    ds = vecdata.generate("glove50", sf=0.002, n_queries=5, seed=3)
+    index = build_ivf(ds.data, seed=0)
+    return ds, index, IVFNarySearcher(index, ds.data, Pruner(ds.dim))
+
+
+@pytest.mark.parametrize("nprobe", [1, 8, "nlist"])
+def test_flat_scan_equals_merging_bucket_by_bucket(nprobe, glove_flat):
+    """IVF_FLAT's one selection per query returns, bit for bit, what a
+    ``TopK.update`` per probed bucket returns."""
+    ds, index, s = glove_flat
+    nprobe = index.nlist if nprobe == "nlist" else nprobe
+    for q in ds.queries:
+        ctx, probe = s._probe(q, nprobe, NO_TRACE)
+        heap = TopK(10)
+        for c in probe:
+            bdata, bids = s.buckets[c]
+            heap.update(bids, l2_nary(bdata, ctx.query))
+        want_ids, want_d = heap.result()
+        ids, dists = s.search(q, 10, nprobe=nprobe, pruned=False)
+        assert ids.dtype == want_ids.dtype and dists.dtype == want_d.dtype
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_d)
+
+
+def test_flat_scan_selects_once_per_query(glove_flat, monkeypatch):
+    """Exactly one top-k selection per IVF_FLAT query, at any nprobe: no
+    ``TopK.update`` merges a bucket on its own."""
+    ds, index, s = glove_flat
+    calls, select = [], topk.smallest
+
+    def counted(*args):
+        calls.append(1)
+        return select(*args)
+
+    monkeypatch.setattr(topk, "smallest", counted)
+    monkeypatch.setattr(ivf_index, "smallest", counted)
+    for nprobe in (1, 8, index.nlist):
+        for q in ds.queries:
+            calls.clear()
+            s.search(q, 10, nprobe=nprobe, pruned=False)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+@pytest.mark.parametrize("k", [0, -1])
+def test_nary_search_rejects_k_below_one(k, pruned, glove_flat):
+    ds, _, s = glove_flat
+    with pytest.raises(ValueError):
+        s.search(ds.queries[0], k, nprobe=8, pruned=pruned)
+
+
+@pytest.mark.parametrize("kind", ["pdx", "nary-pruned", "nary-linear"])
+def test_negative_nprobe_raises_and_zero_probes_nothing(kind, setup):
+    ds, _, index = setup
+    if kind == "pdx":
+        search = IVFPDXSearcher(index, ds.data, Pruner(ds.dim)).search
+    else:
+        s = IVFNarySearcher(index, ds.data, Pruner(ds.dim))
+        search = lambda q, k, nprobe: s.search(q, k, nprobe=nprobe, pruned=kind == "nary-pruned")
+    q = ds.queries[0]
+    with pytest.raises(ValueError, match="nprobe"):
+        search(q, 10, nprobe=-1)
+    ids, dists = search(q, 10, nprobe=0)
+    assert len(ids) == 0 and len(dists) == 0

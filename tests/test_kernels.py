@@ -219,9 +219,58 @@ def test_l2_candidates_hold_the_einsum_top_k(case):
     coll = build_exact_collection(data) if sizes is None else build_pdx(data, block_size=sizes)
     for q in queries:
         for b in coll.blocks:
-            got = kernels.l2_candidates(b.data, b.norms, q, k)
+            got = kernels.l2_candidates([b.data], [b.norms], q, k)
             want, _ = smallest(np.arange(b.n), kernels.l2_pdx(b.data[None], q), k)
             assert set(want.tolist()) <= set(got.tolist())
+
+
+def _split(data, queries, k, how):
+    """Unit widths that cut ``data`` into several unequal units:
+    64-vector blocks with a ragged last one (2-vector blocks for k > n),
+    widths with empty units first and in the middle, or ("ties") a unit
+    boundary next to every other vector tied at the first query's k-th
+    distance."""
+    n = len(data)
+    if how == "blocks64":
+        width = 64 if n > 128 else 2
+        return [min(width, n - a) for a in range(0, n, width)]
+    if how == "empty":
+        return [0, n // 5, n // 2, 0, n - n // 5 - n // 2]
+    d = ((data.astype(np.float64) - queries[0]) ** 2).sum(axis=1)
+    tied = np.flatnonzero(d == np.sort(d)[k - 1])
+    assert len(tied) > 4  # ties reach past the k-th vector
+    cuts = [0, *tied[1::2].tolist(), n]
+    return list(np.diff(cuts))
+
+
+SPLITS = [(case, how) for case in ADVERSARIAL for how in ("blocks64", "empty")]
+SPLITS.append(("integer-ties", "ties"))
+
+
+@pytest.mark.parametrize("case,how", SPLITS)
+def test_l2_candidates_over_units_hold_the_scan_top_k(case, how):
+    """One call over all units keeps the einsum top-k of the whole scan."""
+    data, queries, k, _ = _adversarial(case)
+    coll = build_pdx(data, block_size=_split(data, queries, k, how))
+    assert len(coll.blocks) > 2 and len({b.n for b in coll.blocks}) > 1
+    units, norms = [b.data for b in coll.blocks], [b.norms for b in coll.blocks]
+    for q in queries:
+        got = kernels.l2_candidates(units, norms, q, k)
+        einsum = np.concatenate([kernels.l2_pdx(b.data[None], q) for b in coll.blocks])
+        want, _ = smallest(np.arange(len(data)), einsum, k)
+        assert set(want.tolist()) <= set(got.tolist())
+        assert np.all(np.diff(got) > 0) and (len(got) == 0 or got[-1] < len(data))
+
+
+@pytest.mark.parametrize("case,how", SPLITS)
+def test_linear_scan_over_units_equals_brute_force(case, how):
+    data, queries, k, _ = _adversarial(case)
+    coll = build_pdx(data, block_size=_split(data, queries, k, how))
+    for q in queries:
+        want_ids, want_d = brute_force_nary(data, q, k)
+        ids, dists = pdx_linear_scan(coll, q, k)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_d)
 
 
 @pytest.mark.parametrize("case", ADVERSARIAL)
@@ -237,12 +286,18 @@ def test_certified_scans_equal_brute_force(case):
 
 
 def test_l2_candidates_cut_is_tight():
-    """On the gist960 stand-in the cut keeps under 5 % of every unit."""
+    """On the gist960 stand-in the cut keeps under 5 % of every unit, and
+    under 5 % of the whole collection in one call over all its units,
+    default units or 64-vector blocks."""
     ds = vecdata.generate("gist960", sf=0.01, n_queries=3, seed=0)
     coll = build_exact_collection(ds.data)
+    blocks64 = build_pdx(ds.data, block_size=64)
     for q in ds.queries:
         for b in coll.blocks:
-            assert len(kernels.l2_candidates(b.data, b.norms, q, 10)) < 0.05 * b.n
+            assert len(kernels.l2_candidates([b.data], [b.norms], q, 10)) < 0.05 * b.n
+        for c in (coll, blocks64):
+            units, norms = [b.data for b in c.blocks], [b.norms for b in c.blocks]
+            assert len(kernels.l2_candidates(units, norms, q, 10)) < 0.05 * ds.n
 
 
 def test_pdx_block_size_constant():

@@ -5,6 +5,7 @@ import pytest
 from _util import assert_same_topk
 
 from repro import vecdata
+from repro.core import pdxearch as pdxearch_module
 from repro.core.layout import build_pdx
 from repro.core.pdxearch import dimension_steps, pdx_linear_scan, pdxearch
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
@@ -178,3 +179,37 @@ def test_k_larger_than_collection(glove):
     ids, dists = pdx_linear_scan(coll, ds.queries[0], 50)
     assert len(ids) == 30
     assert np.all(np.diff(dists) >= 0)
+
+
+@pytest.mark.parametrize(
+    "block_size",
+    [64, 7, "single", "exact-default", [0, 100, 0, 900, 0]],
+    ids=["64", "7", "single", "exact-default", "empty-units"],
+)
+def test_linear_scan_cuts_once_per_query(block_size, glove, monkeypatch):
+    """One certified cut per ``pdx_linear_scan`` query, whatever the
+    partitioning."""
+    ds, _ = glove
+    data = ds.data[:1000]
+    if block_size == "exact-default":
+        coll = build_exact_collection(data)
+    else:
+        coll = build_pdx(data, block_size=len(data) if block_size == "single" else block_size)
+    calls, cut = [], pdxearch_module.l2_candidates
+
+    def counted(*args):
+        calls.append(1)
+        return cut(*args)
+
+    monkeypatch.setattr(pdxearch_module, "l2_candidates", counted)
+    for q in ds.queries[:5]:
+        calls.clear()
+        pdx_linear_scan(coll, q, 10)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_linear_scan_rejects_k_below_one(k, glove):
+    ds, _ = glove
+    with pytest.raises(ValueError):
+        pdx_linear_scan(build_pdx(ds.data[:100]), ds.queries[0], k)
