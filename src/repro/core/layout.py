@@ -9,8 +9,9 @@ vectors' squared norms, for the certified full scan
 (:func:`repro.core.kernels.l2_candidates`).
 
 A :class:`PDXCollection` is an ordered list of blocks over a collection
-(an IVF bucket, or a horizontal partition for exact search) plus
-collection-level dimension means.
+(a horizontal partition for exact search) plus collection-level
+dimension means. :func:`join_blocks` makes one block of several, by
+column concatenation (IVF's probed buckets, a Spark partition's rows).
 """
 from __future__ import annotations
 
@@ -113,6 +114,19 @@ def build_pdx(
         )
     means = data.mean(axis=0) if n else np.zeros(d)
     return PDXCollection(blocks=blocks, dim=d, dim_means=means.astype(np.float32))
+
+
+def join_blocks(blocks: Sequence[PDXBlock]) -> PDXBlock:
+    """One block holding the vectors of ``blocks`` in order, their (D, nᵢ)
+    buffers concatenated column by column; a lone block is returned
+    itself, uncopied."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return PDXBlock(
+        data=np.concatenate([b.data for b in blocks], axis=1),
+        ids=np.concatenate([b.ids for b in blocks]),
+        norms=np.concatenate([b.norms for b in blocks]),
+    )
 
 
 def stack_pdx(data: np.ndarray, block_size: int = PDX_BLOCK_SIZE) -> np.ndarray:

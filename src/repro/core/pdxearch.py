@@ -128,9 +128,10 @@ def search_blocks(
     *,
     trace: Trace = NO_TRACE,
 ) -> TopK:
-    """Run PDXearch over a block stream, threshold propagating block to
-    block through ``heap``. The stream may span multiple collections
-    (IVF buckets in centroid-rank order)."""
+    """Run PDXearch over a stream of units, threshold propagating unit to
+    unit through ``heap``. A unit is any (D, n) block: a block of a
+    collection, or an IVF bucket or a join of probed buckets, in
+    centroid-rank order (:func:`~repro.ivf.index.probe_units`)."""
     steps = dimension_steps(len(ctx.dim_order))
     for block in blocks:
         if not np.isfinite(heap.threshold):

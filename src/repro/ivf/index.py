@@ -8,11 +8,15 @@ as in the paper's setup ("all competitors share the same IVF index").
 Per-algorithm searchers wrap the shared index; every query of either
 starts with one shared probe step (``_IVFSearcher._probe``):
 
-- :class:`IVFPDXSearcher` — buckets stored as PDX blocks over the
-  pruner's transformed space; search streams nprobe buckets' blocks
-  through PDXearch with one shared heap (threshold propagates across
-  buckets). The centroids are one (D, nlist) PDX unit, so "find nearest
-  buckets" is one call of the PDX kernel (Table 7's observation).
+- :class:`IVFPDXSearcher` — each bucket stored as one PDX unit (a (D, n)
+  :class:`~repro.core.layout.PDXBlock`) over the pruner's transformed
+  space. A search streams the probed buckets through PDXearch, nearest
+  first, with one shared heap, so the threshold passes from unit to
+  unit (§4): START scans the nearest non-empty bucket alone, and later
+  buckets are joined into units of at least
+  :data:`~repro.core.kernels.PASS_VALUES` values (:func:`probe_units`).
+  The centroids are one (D, nlist) PDX unit, so "find nearest buckets"
+  is one call of the PDX kernel (Table 7's observation).
 - :class:`IVFNarySearcher` — buckets stored row-major; either a plain
   linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
   horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins). IVF_FLAT
@@ -24,12 +28,13 @@ starts with one shared probe step (``_IVFSearcher._probe``):
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import l2_accumulate, l2_nary
-from repro.core.layout import PDXCollection, build_pdx
+from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_nary
+from repro.core.layout import PDXBlock, build_pdx, join_blocks
 from repro.core.pdxearch import search_blocks
 from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK, smallest
@@ -66,6 +71,39 @@ def _pdx_all_distances(unit: np.ndarray, query: np.ndarray) -> np.ndarray:
     return out
 
 
+def probe_units(buckets: Sequence[PDXBlock]) -> Iterator[PDXBlock]:
+    """The PDXearch units over ``buckets``, given nearest first: the first
+    non-empty bucket alone, which START scans to seed the threshold, then
+    the others in order, joined by column concatenation into units of at
+    least ``PASS_VALUES`` values (the last may hold fewer); a bucket of
+    ``PASS_VALUES`` values or more is a unit of its own, uncopied.
+
+    The rule counts values, not vectors: a join saves a fixed cost per
+    unit (one certified cut, or one kernel and one predicate call per
+    step) and costs a copy of every value it joins, so at low D many
+    small buckets join and at high D few or none. The units are formed
+    per query, so unlike exact search's growing units (laid out once)
+    they stop growing where a join no longer saves dispatch.
+    """
+    buckets = [b for b in buckets if b.n]
+    if not buckets:
+        return
+    yield buckets[0]
+    group: list[PDXBlock] = []
+    values = 0
+    for b in buckets[1:]:
+        if b.data.size >= PASS_VALUES and group:
+            yield join_blocks(group)
+            group, values = [], 0
+        group.append(b)
+        values += b.data.size
+        if values >= PASS_VALUES:
+            yield join_blocks(group)
+            group, values = [], 0
+    if group:
+        yield join_blocks(group)
+
+
 class _IVFSearcher:
     """Transforms the data and centroids once, keeps the collection-level
     ``dim_means`` (the searcher is the metadata ``pruner.prepare`` reads)
@@ -96,12 +134,12 @@ class _IVFSearcher:
 
 
 class IVFPDXSearcher(_IVFSearcher):
-    """PDXearch over IVF buckets stored in the PDX layout."""
+    """PDXearch over IVF buckets stored in the PDX layout, one unit each."""
 
     def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
-        self.buckets: list[PDXCollection] = [
-            build_pdx(tdata[ids], ids=ids) for ids in self.index.bucket_ids
-        ]
+        ids = np.concatenate(self.index.bucket_ids)
+        sizes = [len(b) for b in self.index.bucket_ids]
+        self.buckets: list[PDXBlock] = build_pdx(tdata[ids], ids, block_size=sizes).blocks
         self.tcentroids = np.ascontiguousarray(tcentroids.T)  # one (D, nlist) unit
 
     def _rank(self, query: np.ndarray) -> np.ndarray:
@@ -117,8 +155,8 @@ class IVFPDXSearcher(_IVFSearcher):
     ) -> tuple[np.ndarray, np.ndarray]:
         ctx, probe = self._probe(query, nprobe, trace)
         heap = TopK(k)
-        blocks = (b for c in probe for b in self.buckets[c].blocks)
-        search_blocks(blocks, ctx, self.pruner, heap, trace=trace)
+        units = probe_units([self.buckets[c] for c in probe])
+        search_blocks(units, ctx, self.pruner, heap, trace=trace)
         return heap.result()
 
 

@@ -67,8 +67,8 @@ def pdx_bond_search(
     return pdxearch(coll, query, k, PDXBond(coll.dim, order="means"), trace=trace)
 
 
-def build_exact_collection(data: np.ndarray) -> PDXCollection:
-    """PDX collection for exact search, in units that grow.
+def exact_unit_sizes(n: int) -> list[int]:
+    """Sizes of the units that exact search lays ``n`` vectors out in.
 
     The first unit, scanned fully by PDXearch's START phase to seed the
     threshold, holds 1/16 of the collection (64 to 10 k vectors), so it
@@ -78,13 +78,20 @@ def build_exact_collection(data: np.ndarray) -> PDXCollection:
     capped at 10 k (§6.5) and at what is left: 625, 625, 1250, 2500,
     5000 for 10 k vectors, and 10 k each from 160 k vectors on. Few,
     large units keep a query's kernel and predicate calls few, while the
-    threshold still passes from unit to unit. Other partitionings are
-    :func:`~repro.core.layout.build_pdx` calls.
+    threshold still passes from unit to unit. The units are laid out
+    once, before any query, so their size costs no copy per query.
     """
     sizes: list[int] = []
-    done, size = 0, int(np.clip(len(data) // 16, 64, 10_000))
-    while done < len(data):
-        sizes.append(min(size, len(data) - done))
+    done, size = 0, int(np.clip(n // 16, 64, 10_000))
+    while done < n:
+        sizes.append(min(size, n - done))
         done += sizes[-1]
         size = min(done, 10_000)
-    return build_pdx(data, block_size=sizes)
+    return sizes
+
+
+def build_exact_collection(data: np.ndarray) -> PDXCollection:
+    """PDX collection for exact search, in the units of
+    :func:`exact_unit_sizes`. Other partitionings are
+    :func:`~repro.core.layout.build_pdx` calls."""
+    return build_pdx(data, block_size=exact_unit_sizes(len(data)))

@@ -4,13 +4,15 @@ The paper's contribution is a physical layout + scan operator, below
 the relational layer — so per the layering rule it is expressed as a
 ``mapInPandas`` physical transformation rather than a Catalyst rule
 (DESIGN.md §2): each executor partition gathers its PDX block rows into
-one ``PDXCollection`` and runs every query through the *same*
-``pdxearch`` used in ``repro.core``, so the pruning threshold propagates
-block-to-block exactly as in §4, and PDX-BOND's dimension means are
-those of every vector in the partition. Per-partition candidates
-(a superset of the global top-k) are then reduced with a Spark SQL
-window ``row_number() ... ORDER BY dist, id`` — Catalyst handles the
-relational part, the block scan stays columnar inside the executor.
+one ``PDXCollection``, laid out in the growing units of exact search
+(:func:`~repro.search.exact.exact_unit_sizes`), and runs every query
+through the *same* ``pdxearch`` used in ``repro.core``, so the pruning
+threshold propagates unit to unit exactly as in §4, and PDX-BOND's
+dimension means are those of every vector in the partition.
+Per-partition candidates (a superset of the global top-k) are then
+reduced with a Spark SQL window ``row_number() ... ORDER BY dist, id`` —
+Catalyst handles the relational part, the block scan stays columnar
+inside the executor.
 
 ``knn`` is exact when the pruner is exact (linear / PDX-BOND) because a
 partition-local threshold only ever prunes vectors that provably cannot
@@ -26,25 +28,32 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.layout import PDXCollection
+from repro.core.layout import PDXBlock, PDXCollection, join_blocks
 from repro.core.pdxearch import pdxearch
 from repro.core.pruners import Pruner
+from repro.search.exact import exact_unit_sizes
 from repro.spark.layout_ops import rows_to_pdx_blocks
 
 
 def search_partition(
     batches: Iterator[pd.DataFrame], queries: np.ndarray, k: int, pruner: Pruner
 ) -> Iterator[pd.DataFrame]:
-    """The ``knn`` executor: PDXearch every query over one partition's
-    blocks, gathered from all of its Arrow batches into one collection
-    whose ``dim_means`` average every vector of the partition. Yields one
+    """The ``knn`` executor: PDXearch every query over one partition. The
+    block rows of all its Arrow batches are laid out again in the units of
+    exact search (:func:`~repro.search.exact.exact_unit_sizes`), with
+    ``dim_means`` over every vector of the partition. Yields one
     ``(qid, id, dist)`` frame, or nothing for an empty partition."""
     blocks = [b for pdf in batches for b in rows_to_pdx_blocks(pdf)]
     if not blocks:
         return
-    sums = np.sum([b.data.sum(axis=1, dtype=np.float64) for b in blocks], axis=0)
-    means = sums / sum(b.n for b in blocks)
-    coll = PDXCollection(blocks=blocks, dim=len(means), dim_means=means.astype(np.float32))
+    whole = join_blocks(blocks)
+    stops = np.cumsum(exact_unit_sizes(whole.n))
+    units = [
+        PDXBlock(np.ascontiguousarray(whole.data[:, a:b]), whole.ids[a:b], whole.norms[a:b])
+        for a, b in zip([0, *stops[:-1]], stops)
+    ]
+    means = whole.data.mean(axis=1, dtype=np.float64).astype(np.float32)
+    coll = PDXCollection(blocks=units, dim=whole.dim, dim_means=means)
     rows = {"qid": [], "id": [], "dist": []}
     for qi, q in enumerate(queries):
         ids, dists = pdxearch(coll, q, k, pruner)

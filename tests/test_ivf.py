@@ -6,7 +6,8 @@ from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core import topk
-from repro.core.kernels import l2_nary
+from repro.core.kernels import PASS_VALUES, l2_nary
+from repro.core.pdxearch import search_blocks
 from repro.core.pruners import ADSampling, BSA, PDXBond, Pruner
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
@@ -197,3 +198,159 @@ def test_negative_nprobe_raises_and_zero_probes_nothing(kind, setup):
         search(q, 10, nprobe=-1)
     ids, dists = search(q, 10, nprobe=0)
     assert len(ids) == 0 and len(dists) == 0
+
+
+# --------------------------------------------------------------------------
+# Probed buckets as PDXearch units (``probe_units``). The index below is
+# built by hand: random vectors in buckets of chosen sizes (one empty, one
+# of more than ``PASS_VALUES`` values) around random centroids, so a
+# query's top-k over its probed buckets spreads over every unit.
+# --------------------------------------------------------------------------
+
+UNIT_DIM = 16
+#: Vectors per bucket; 4500 × 16 values is over ``PASS_VALUES``.
+UNIT_SIZES = [1500, 0, 800, 4500, 300, 1000, 1200, 700, 2000, 900, 1100, 600]
+
+
+def _hand_built(sizes, dim, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(sum(sizes), dim)).astype(np.float32)
+    perm = rng.permutation(len(data))
+    bucket_ids = np.split(perm, np.cumsum(sizes)[:-1])
+    centroids = rng.normal(size=(len(sizes), dim)).astype(np.float32)
+    queries = rng.normal(size=(40, dim)).astype(np.float32)
+    return data, IVFIndex(centroids=centroids, bucket_ids=bucket_ids), queries
+
+
+@pytest.fixture(scope="module")
+def hand_built():
+    return _hand_built(UNIT_SIZES, UNIT_DIM, seed=11)
+
+
+def _probed_oracle(s, data, q, k, nprobe):
+    """Float64 top-k over exactly the probed buckets' vectors, and the
+    probed buckets (nearest first)."""
+    _, probe = s._probe(q, nprobe, NO_TRACE)
+    ids = np.concatenate([np.empty(0, np.int64), *(s.index.bucket_ids[c] for c in probe)])
+    diff = data[ids].astype(np.float64) - q
+    return (*topk.smallest(ids, np.einsum("nd,nd->n", diff, diff), k), probe)
+
+
+@pytest.mark.parametrize("nprobe", [1, 2, 3, 8, len(UNIT_SIZES)])
+def test_exact_pruners_return_top_k_of_exactly_the_probed_buckets(nprobe, hand_built):
+    """IVF BOND and linear return the exact top-k over the probed buckets'
+    vectors, ids and distances; ADS/BSA return probed ids only. Some
+    query's k-th neighbour lies in the last probed bucket, so a search
+    that drops the last unit fails here, and some query's top-k spans the
+    START unit and the last unit."""
+    data, index, queries = hand_built
+    k = 10
+    exact = [IVFPDXSearcher(index, data, p) for p in (Pruner(UNIT_DIM), PDXBond(UNIT_DIM, order="zones"))]
+    approx = [IVFPDXSearcher(index, data, p) for p in (ADSampling(UNIT_DIM), BSA(UNIT_DIM))]
+    kth_in_last = spans_units = 0
+    for q in queries:
+        want_ids, want_d, probe = _probed_oracle(exact[0], data, q, k, nprobe)
+        filled = [set(index.bucket_ids[c].tolist()) for c in probe if len(index.bucket_ids[c])]
+        probed = set().union(*filled)
+        top = set(want_ids.tolist())
+        if filled:
+            kth_in_last += int(want_ids[-1]) in filled[-1]
+            spans_units += len(filled) > 1 and bool(filled[0] & top) and bool(filled[-1] & top)
+        for s in exact:
+            ids, dists = s.search(q, k, nprobe=nprobe)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_allclose(dists, want_d, rtol=1e-5)
+        for s in approx:
+            assert set(s.search(q, k, nprobe=nprobe)[0].tolist()) <= probed
+    assert kth_in_last > 0
+    if nprobe > 2:
+        assert spans_units > 0
+
+
+def test_nearest_probed_bucket_empty_starts_on_the_next(hand_built):
+    """With the nearest probed bucket empty, START scans the next
+    non-empty bucket alone, and the result is the probed top-k."""
+    data, index, queries = hand_built
+    s = IVFPDXSearcher(index, data, PDXBond(UNIT_DIM, order="zones"))
+    empty = UNIT_SIZES.index(0)
+    q = index.centroids[empty]  # its own centroid ranks first
+    _, probe = s._probe(q, 4, NO_TRACE)
+    assert probe[0] == empty
+    units = list(ivf_index.probe_units([s.buckets[c] for c in probe]))
+    assert units[0] is s.buckets[probe[1]]
+    want_ids, _, _ = _probed_oracle(s, data, q, 10, 4)
+    np.testing.assert_array_equal(s.search(q, 10, nprobe=4)[0], want_ids)
+
+
+def test_nearest_bucket_below_k_makes_the_next_unit_start_too(monkeypatch):
+    """A first unit of fewer than k vectors leaves the threshold at +inf,
+    so the next unit is also scanned fully (START) and none is lost."""
+    from repro.core import pdxearch
+
+    data, index, queries = _hand_built([3, 900, 900, 900, 900, 900], UNIT_DIM, seed=12)
+    s = IVFPDXSearcher(index, data, PDXBond(UNIT_DIM, order="zones"))
+    q = index.centroids[0]
+    _, probe = s._probe(q, 6, NO_TRACE)
+    assert probe[0] == 0
+    full, scan = [], pdxearch._scan_block_full
+
+    def recorded(blocks, *args):
+        full.append(blocks[0].n)
+        scan(blocks, *args)
+
+    monkeypatch.setattr(pdxearch, "_scan_block_full", recorded)
+    ids, dists = s.search(q, 10, nprobe=6)
+    assert full[:2] == [3, 4500]  # the 3-vector bucket, then buckets 2–6 joined
+    want_ids, want_d, _ = _probed_oracle(s, data, q, 10, 6)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_allclose(dists, want_d, rtol=1e-5)
+
+
+def test_one_dimension():
+    """D = 1: clustered IVF, BOND and linear exact over the probed buckets."""
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(3000, 1)).astype(np.float32)
+    index = build_ivf(data, seed=0)
+    for pruner in (Pruner(1), PDXBond(1, order="zones")):
+        s = IVFPDXSearcher(index, data, pruner)
+        for q in rng.normal(size=(10, 1)).astype(np.float32):
+            for nprobe in (1, 3, index.nlist):
+                want_ids, want_d, _ = _probed_oracle(s, data, q, 10, nprobe)
+                ids, dists = s.search(q, 10, nprobe=nprobe)
+                assert_same_topk(ids, dists, want_ids, want_d, rtol=1e-5, atol=1e-9)
+
+
+def test_large_bucket_is_its_own_unit_uncopied(hand_built):
+    """A bucket of ``PASS_VALUES`` values or more is passed as it is
+    stored; smaller ones around it are joined, in probe order."""
+    data, index, _ = hand_built
+    s = IVFPDXSearcher(index, data, Pruner(UNIT_DIM))
+    big = UNIT_SIZES.index(4500)
+    assert s.buckets[big].data.size >= PASS_VALUES
+    order = [0, 2, 4, big, 5, 6]  # buckets of 1500 | 800, 300 | 4500 | 1000, 1200
+    units = list(ivf_index.probe_units([s.buckets[c] for c in order]))
+    assert [u.n for u in units] == [1500, 1100, 4500, 2200]
+    assert units[0] is s.buckets[0] and units[2] is s.buckets[big]
+    assert np.shares_memory(units[2].data, s.buckets[big].data)
+    joined = units[1]
+    np.testing.assert_array_equal(joined.ids, np.concatenate([s.buckets[2].ids, s.buckets[4].ids]))
+    np.testing.assert_array_equal(joined.data, np.hstack([s.buckets[2].data, s.buckets[4].data]))
+    assert joined.data.flags.c_contiguous
+    assert list(ivf_index.probe_units([])) == []
+
+
+@pytest.mark.parametrize("pruner", ["linear", "bond"])
+def test_joined_units_equal_per_bucket_units(pruner, hand_built):
+    """``search_blocks`` over the joined units and over one unit per
+    probed bucket returns the same ids."""
+    data, index, queries = hand_built
+    p = Pruner(UNIT_DIM) if pruner == "linear" else PDXBond(UNIT_DIM, order="zones")
+    s = IVFPDXSearcher(index, data, p)
+    for q in queries:
+        ctx, probe = s._probe(q, 8, NO_TRACE)
+        buckets = [s.buckets[c] for c in probe if s.buckets[c].n]
+        joined, single = TopK(10), TopK(10)
+        search_blocks(ivf_index.probe_units(buckets), ctx, p, joined)
+        search_blocks(buckets, ctx, p, single)
+        np.testing.assert_array_equal(joined.result()[0], single.result()[0])
+        np.testing.assert_allclose(joined.result()[1], single.result()[1], rtol=1e-6)

@@ -16,6 +16,7 @@ from _util import assert_same_topk
 
 from repro import vecdata
 from repro.core.pruners import ADSampling, PDXBond
+from repro.search.exact import exact_unit_sizes
 from repro.spark.layout_ops import vectors_to_blocks
 from repro.spark.search_ops import knn, search_partition
 
@@ -127,3 +128,36 @@ def test_executor_reads_every_batch_of_its_partition(ds, blocks):
             np.testing.assert_array_equal(means, want_means)
     pd.testing.assert_frame_equal(frames[0], frames[1])
     assert list(search_partition(iter([]), ds.queries, K, PDXBond(ds.dim))) == []
+
+
+def test_executor_searches_in_exact_search_units(ds, blocks, monkeypatch):
+    """The executor lays its partition out in the units of
+    ``exact_unit_sizes`` (not the 64-vector block rows), holding every
+    vector once with its own data, and stays exact."""
+    from repro.spark import search_ops
+
+    rows = blocks.toPandas()
+    seen, search = [], search_ops.pdxearch
+
+    def recorded(coll, *args):
+        seen.append(coll)
+        return search(coll, *args)
+
+    monkeypatch.setattr(search_ops, "pdxearch", recorded)
+    out = pd.concat(search_partition(iter([rows]), ds.queries, K, PDXBond(ds.dim)))
+    assert len(seen) == len(ds.queries)
+    units = seen[0].blocks
+    assert [u.n for u in units] == exact_unit_sizes(len(ds.data))
+    assert all(u.data.flags.c_contiguous for u in units)
+    ids = np.concatenate([u.ids for u in units])
+    assert sorted(ids.tolist()) == list(range(len(ds.data)))
+    data = np.hstack([u.data for u in units])
+    np.testing.assert_array_equal(data.T, ds.data[ids].astype(np.float32))
+    np.testing.assert_allclose(
+        np.concatenate([u.norms for u in units]),
+        (ds.data[ids].astype(np.float64) ** 2).sum(axis=1), rtol=1e-5,
+    )
+    gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries, K)
+    for qi in range(len(ds.queries)):
+        got = out[out["qid"] == qi].sort_values(["dist", "id"])
+        assert_same_topk(got["id"].to_numpy(), got["dist"].to_numpy(), gt_ids[qi], gt_d[qi])
