@@ -1,8 +1,9 @@
-"""IVF search per query: every ``IVFPDXSearcher`` pruner and IVF_FLAT
-(the N-ary linear bucket scan) over the same index at nprobe 8, at
-D = 50 and D = 1536. At low D a bucket is cheap to scan, so per-unit
-dispatch (START's cut, kernel and predicate calls) decides the ratio to
-IVF_FLAT; at high D the kernels do.
+"""IVF search per query: every ``IVFPDXSearcher`` pruner, the N-ary
+(horizontal) Δd-stepped ADS/BSA searches and IVF_FLAT (the N-ary linear
+bucket scan) over the same index at nprobe 8, at D = 50 and D = 1536 —
+the searchers of Table 7. At low D a bucket is cheap to scan, so
+per-unit dispatch (START's cut, kernel and predicate calls) decides the
+ratio to IVF_FLAT; at high D the kernels do.
 
 Run: ``python -m pytest benchmarks/bench_ivf_search.py --benchmark-only``
 """
@@ -28,8 +29,11 @@ def _run_all(searcher, queries, **kw):
         searcher.search(q, K, nprobe=NPROBE, **kw)
 
 
-@pytest.mark.parametrize("algo", ["ads", "bsa", "bond", "linear"])
-def test_pdx_ivf_search(benchmark, setup, algo):
+@pytest.mark.parametrize(
+    "layout, algo",
+    [("pdx", a) for a in ("ads", "bsa", "bond", "linear")] + [("nary", a) for a in ("ads", "bsa")],
+)
+def test_ivf_search(benchmark, setup, layout, algo):
     data, queries, index = setup
     dim = data.shape[1]
     pruner = {
@@ -38,7 +42,7 @@ def test_pdx_ivf_search(benchmark, setup, algo):
         "bond": lambda: PDXBond(dim, order="zones"),
         "linear": lambda: Pruner(dim),
     }[algo]()
-    s = IVFPDXSearcher(index, data, pruner)
+    s = {"pdx": IVFPDXSearcher, "nary": IVFNarySearcher}[layout](index, data, pruner)
     benchmark.pedantic(_run_all, args=(s, queries), rounds=3, iterations=1)
 
 

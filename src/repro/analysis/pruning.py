@@ -11,10 +11,10 @@ matrix, and one call of the pruner's own predicate
 A vector is pruned at the first ``d`` where the predicate holds — the
 exact Δd=1 search outcome at a fraction of the cost.
 
-Bookkeeping mirrors the search: the first block (threshold still +inf,
-where no predicate prunes) is scanned fully; survivors of later blocks
-are scanned fully and merged into the heap, tightening the threshold
-block-to-block.
+Bookkeeping models PDXearch over ``PDX_BLOCK_SIZE``-vector blocks at
+Δd = 1, not the units exact search or IVF scan: the first block
+(threshold +inf) is scanned fully; survivors of later blocks are merged
+into the heap, tightening the threshold block-to-block.
 """
 from __future__ import annotations
 

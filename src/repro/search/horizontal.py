@@ -1,18 +1,17 @@
 """Pruned search on the *horizontal* (N-ary) layout — the paper's
 "SIMD-ADS" / "N-ary BSA" baselines (§6.3, Table 7).
 
-The search is vector-at-a-time: for each vector, distance is accumulated
-in slices of :data:`DELTA_D` dimensions; after each slice the pruning
-predicate runs and may break off the vector (the fixed-step schedule of
-the original ADSampling/BSA implementations). The per-vector predicate
-interleaving — the branchy control flow the paper blames for the
-horizontal layout losing to plain SIMD scans — is inherent to this code
-shape.
+A bucket is scanned at once: per slice of :data:`DELTA_D` dimensions
+(the fixed step of the original ADSampling/BSA implementations) the live
+rows' partial distances grow, and one predicate call drops the pruned
+rows. The threshold is read at bucket entry, as PDXearch reads it once
+per unit, so the pair differs in layout only.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import l2_nary
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
@@ -32,32 +31,28 @@ def horizontal_pruned_search(
     trace: Trace = NO_TRACE,
 ) -> TopK:
     """Scan ``data`` (already in the pruner's transformed space, (N, D)
-    row-major) vector-at-a-time with Δd-stepped pruning.
+    row-major) with Δd-stepped pruning against the threshold ``heap``
+    holds on entry, and merge the survivors into ``heap`` once.
 
     ``query_ctx`` must come from ``pruner.prepare`` (transformed query).
     The heap is shared across calls so IVF can chain buckets.
     """
     q = query_ctx.query
-    d = data.shape[1]
-    steps = list(range(0, d, DELTA_D)) + [d]
-    for i in range(len(data)):
-        vec = data[i]
-        threshold = heap.threshold
-        partial = 0.0
-        pruned = False
-        for s in range(len(steps) - 1):
-            d0, d1 = steps[s], steps[s + 1]
-            trace.start()
-            diff = vec[d0:d1] - q[d0:d1]
-            partial += float(diff @ diff)
-            trace.lap("distance")
-            if d1 >= d:
-                break
-            out = pruner.prune_mask(np.array([partial], dtype=np.float32), d1, threshold)[0]
-            trace.lap("bounds")
-            if out:
-                pruned = True
-                break
-        if not pruned:
-            heap.update(ids[i : i + 1], np.array([partial]))
+    n, d = data.shape
+    threshold = heap.threshold
+    rows = np.arange(n)
+    partial = np.zeros(n, dtype=np.float32)
+    for d0 in range(0, d, DELTA_D):
+        d1 = min(d0 + DELTA_D, d)
+        trace.start()
+        partial += l2_nary(data[rows, d0:d1], q[d0:d1])
+        trace.lap("distance")
+        if d1 == d:
+            break
+        keep = ~pruner.prune_mask(partial, d1, threshold)
+        rows, partial = rows[keep], partial[keep]
+        trace.lap("bounds")
+        if len(rows) == 0:
+            break
+    heap.update(ids[rows], partial)
     return heap
