@@ -4,7 +4,7 @@
   samples ``PCA_SAMPLE`` = 4096 rows, the shape BSA fits on in the
   perfbench ``exact-gist960`` set-up.
 - ``kmeans`` at the perfbench ``ivf-glove50`` shape: 50 k × 50 vectors,
-  158 lists, ``build_ivf``'s 8 iterations.
+  158 lists, ``kmeans.ITERS`` = 8 iterations at most.
 
 Run: ``python -m pytest benchmarks/bench_build.py --benchmark-only``
 """
@@ -23,6 +23,4 @@ def test_pca_fit_gist960(benchmark, bench_datasets):
 def test_kmeans_glove50(benchmark, bench_datasets):
     x, _ = bench_datasets("glove50", sf=0.0423, n_queries=10)
     x = x[:GLOVE50_N]
-    benchmark.pedantic(
-        kmeans, args=(x, GLOVE50_NLIST), kwargs={"iters": 8}, rounds=3, iterations=1
-    )
+    benchmark.pedantic(kmeans, args=(x, GLOVE50_NLIST), rounds=3, iterations=1)

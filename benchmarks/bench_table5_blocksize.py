@@ -3,6 +3,7 @@ reference entry). ``jobs/table5_blocksize.py`` prints the speedup table."""
 import numpy as np
 import pytest
 
+from repro.analysis.kernel_bench import BLOCK_SIZES
 from repro.core.kernels import l2_nary, l2_pdx
 from repro.core.layout import stack_pdx
 from repro.vecdata import random_collection
@@ -22,7 +23,7 @@ def test_nary_reference(benchmark, data):
     benchmark(l2_nary, d, q)
 
 
-@pytest.mark.parametrize("block", [16, 32, 64, 128, 256, 512])
+@pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_pdx_blocksize(benchmark, data, block):
     d, q = data
     stacked = stack_pdx(d, block)

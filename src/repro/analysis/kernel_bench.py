@@ -6,7 +6,7 @@ the PDX blocked layout, across dimensionalities and collection sizes,
 and aggregates speedups at the paper's granularities (D=8; D=16,32;
 D>32; All). Table 5 repeats the L2 measurement across PDX block sizes.
 
-Timings are best-of-``repeat`` wall clock over ``number`` kernel calls
+Timings are best-of-``repeat`` wall clock over :data:`CALLS` kernel calls
 (timeit discipline); combos whose arrays would not fit comfortably in
 memory are skipped (the paper sweeps 64…131 k vectors × 8…8 k dims on
 64 GB machines; we cap elements per combo instead).
@@ -26,16 +26,20 @@ from repro.vecdata import random_collection
 DIMS = [8, 16, 32, 64, 128, 256, 512, 1024, 1536]
 SIZES = [4096, 16384, 65536]
 MAX_ELEMS = 1 << 24  # skip combos > 16M floats (64 MB per layout copy)
+#: Kernel calls per timed repeat.
+CALLS = 3
+#: The paper's PDX block sizes (Table 5).
+BLOCK_SIZES = (16, 32, 64, 128, 256, 512)
 
 
-def best_time(fn, *, repeat: int = 5, number: int = 3) -> float:
+def best_time(fn, *, repeat: int = 5) -> float:
     """Best-of-repeat mean seconds per call of ``fn()``."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for _ in range(number):
+        for _ in range(CALLS):
             fn()
-        best = min(best, (time.perf_counter() - t0) / number)
+        best = min(best, (time.perf_counter() - t0) / CALLS)
     return best
 
 
@@ -97,15 +101,14 @@ def aggregate_table4(per_combo: pd.DataFrame) -> pd.DataFrame:
 
 def table5_blocksize(
     *,
-    block_sizes: list[int] = (16, 32, 64, 128, 256, 512),
     dims: list[int] = DIMS,
     sizes: list[int] = SIZES,
     seed: int = 0,
     repeat: int = 5,
 ) -> pd.DataFrame:
-    """Average L2 speedup of PDX over N-ary per PDX block size."""
+    """Average L2 speedup of PDX over N-ary per :data:`BLOCK_SIZES` entry."""
     rows = {}
-    for b in block_sizes:
+    for b in BLOCK_SIZES:
         per = kernel_speedups(
             "l2", dims=dims, sizes=sizes, block_size=b, seed=seed, repeat=repeat
         )

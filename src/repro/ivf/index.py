@@ -17,14 +17,14 @@ starts with one shared probe step (``_IVFSearcher._probe``):
   :data:`~repro.core.kernels.PASS_VALUES` values (:func:`probe_units`).
   The centroids are one (D, nlist) PDX unit, so "find nearest buckets"
   is one call of the PDX kernel (Table 7's observation).
-- :class:`IVFNarySearcher` — buckets stored row-major; either a plain
-  linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
-  horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins). IVF_FLAT
-  never prunes, so it needs no running threshold: it scores each probed
-  bucket with one kernel call and selects the query's top-k once, over
-  all probed buckets (:func:`~repro.core.topk.smallest`), as FAISS keeps
-  one heap per query. The result equals a merge bucket by bucket, bit
-  for bit, since one (distance, id) order decides both.
+- :class:`IVFNarySearcher` — buckets stored row-major and searched in
+  one pass in PDXearch's shape: START scores the nearest buckets (one
+  kernel call each) until they hold ``k`` vectors and merges them once;
+  later buckets get the Δd-stepped horizontal pruned search (SIMD-ADS /
+  N-ary BSA stand-ins). IVF_FLAT never prunes: every probed bucket is
+  START, so the top-k is selected once, as FAISS keeps one heap per
+  query. Either equals a merge bucket by bucket, bit for bit, since one
+  (distance, id) order decides both.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from repro.core.kernels import PASS_VALUES, l2_accumulate, l2_nary
 from repro.core.layout import PDXBlock, build_pdx, join_blocks
 from repro.core.pdxearch import search_blocks
 from repro.core.pruners import Pruner, QueryContext
-from repro.core.topk import TopK, smallest
+from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
 from repro.ivf.kmeans import kmeans
 from repro.search.horizontal import horizontal_pruned_search
@@ -164,9 +164,7 @@ class IVFNarySearcher(_IVFSearcher):
     """Horizontal-layout search over the same IVF buckets."""
 
     def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
-        self.buckets = [
-            (np.ascontiguousarray(tdata[ids]), ids) for ids in self.index.bucket_ids
-        ]
+        self.buckets = [(tdata[ids], ids) for ids in self.index.bucket_ids]
         self.tcentroids = tcentroids  # (nlist, D) rows
 
     def _rank(self, query: np.ndarray) -> np.ndarray:
@@ -181,31 +179,23 @@ class IVFNarySearcher(_IVFSearcher):
         pruned: bool = True,
         trace: Trace = NO_TRACE,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
-        ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT),
-        one kernel call per probed bucket and one top-k selection."""
+        """One pass over the non-empty probed buckets, nearest first: START
+        scores the nearest ones (one ``l2_nary`` call each) until they hold
+        ``k`` vectors and merges them once; later buckets get the Δd-stepped
+        pruned search. ``pruned=False`` (IVF_FLAT) makes every bucket START."""
         ctx, probe = self._probe(query, nprobe, trace)
-        heap = TopK(k)  # rejects k < 1, for the flat scan too
-        if not pruned:
-            buckets = [self.buckets[c] for c in probe if len(self.buckets[c][1])]
-            trace.start()
-            dists = [l2_nary(bdata, ctx.query) for bdata, _ in buckets]
-            trace.lap("distance")
-            ids = [bids for _, bids in buckets]
-            return smallest(
-                np.concatenate([np.empty(0, np.int64), *ids]),
-                np.concatenate([np.empty(0), *dists]),
-                k,
-            )
-        for c in probe:
-            bdata, bids = self.buckets[c]
-            if len(bids) == 0:
-                continue
-            if np.isfinite(heap.threshold):
-                horizontal_pruned_search(bdata, bids, ctx, self.pruner, heap, trace=trace)
-            else:
-                trace.start()
-                d = l2_nary(bdata, ctx.query)
-                trace.lap("distance")
-                heap.update(bids, d)
+        heap = TopK(k)
+        buckets = [self.buckets[c] for c in probe if len(self.buckets[c][1])]
+        start = len(buckets)
+        if pruned:
+            start = int(np.searchsorted(np.cumsum([len(b) for _, b in buckets]), k)) + 1
+        trace.start()
+        dists = [l2_nary(bdata, ctx.query) for bdata, _ in buckets[:start]]
+        trace.lap("distance")
+        heap.update(
+            np.concatenate([np.empty(0, np.int64), *(bids for _, bids in buckets[:start])]),
+            np.concatenate([np.empty(0), *dists]),
+        )
+        for bdata, bids in buckets[start:]:
+            horizontal_pruned_search(bdata, bids, ctx, self.pruner, heap, trace=trace)
         return heap.result()

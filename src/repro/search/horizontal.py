@@ -5,7 +5,12 @@ A bucket is scanned at once: per slice of :data:`DELTA_D` dimensions
 (the fixed step of the original ADSampling/BSA implementations) the live
 rows' partial distances grow, and one predicate call drops the pruned
 rows. The threshold is read at bucket entry, as PDXearch reads it once
-per unit, so the pair differs in layout only.
+per unit. Beyond the layout the pair differs in three ways: the step
+(a fixed Δd = 32 against PDXearch's 2, 4, 8, …), the gathering (live
+rows after every slice; PDXearch scans whole units in WARMUP and gathers
+only in PRUNE) and the order (storage order, not the context's
+``dim_order``, so N-ary BOND prunes late: 1.22–4.60 ms/query on the
+openai1536 stand-in against PDX-BOND's 0.79–1.94; EXPERIMENTS.md).
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ import pytest
 from _util import assert_same_topk
 
 from repro import vecdata
+from repro.core.kernels import l2_nary
 from repro.core.layout import build_pdx
 from repro.core.pruners import BSA, ADSampling, PDXBond
 from repro.core.topk import TopK
@@ -25,16 +26,39 @@ def meta(ds):
     return build_pdx(ds[0].data)
 
 
+#: Rows of the stand-in the START scan scores before the pruned search.
+START_ROWS = 100
+
+
+def _start_then_prune(data, ctx, pruner):
+    """Search the stand-in as the IVF searcher searches its buckets: a
+    START scan of the first rows seeds the heap, then one pruned search
+    over the rest. Returns the top-k and the rows ``prune_mask`` dropped."""
+    dropped, mask = [], pruner.prune_mask
+
+    def counted(partial, nscanned, threshold):
+        m = mask(partial, nscanned, threshold)
+        dropped.append(int(np.count_nonzero(m)))
+        return m
+
+    pruner.prune_mask = counted
+    ids_all = np.arange(len(data), dtype=np.int64)
+    heap = TopK(10)
+    heap.update(ids_all[:START_ROWS], l2_nary(data[:START_ROWS], ctx.query))
+    horizontal_pruned_search(data[START_ROWS:], ids_all[START_ROWS:], ctx, pruner, heap)
+    del pruner.prune_mask
+    return heap.result(), sum(dropped)
+
+
 def test_horizontal_with_exact_pruner_is_exact(ds, meta):
     d, (gt_ids, gt_d) = ds
     bond = PDXBond(d.dim, order="means")
-    ids_all = np.arange(d.n, dtype=np.int64)
+    dropped = 0
     for qi, q in enumerate(d.queries):
-        ctx = bond.prepare(q, meta)
-        heap = TopK(10)
-        horizontal_pruned_search(d.data, ids_all, ctx, bond, heap)
-        got_ids, got_d = heap.result()
+        (got_ids, got_d), n = _start_then_prune(d.data, bond.prepare(q, meta), bond)
+        dropped += n
         assert_same_topk(got_ids, got_d, gt_ids[qi], gt_d[qi])
+    assert dropped > 0
 
 
 def test_horizontal_ads_recall(ds, monkeypatch):
@@ -42,13 +66,12 @@ def test_horizontal_ads_recall(ds, monkeypatch):
     d, (gt_ids, _) = ds
     ads = ADSampling(d.dim, seed=0)
     t = ads.transform_data(d.data)
-    ids_all = np.arange(d.n, dtype=np.int64)
-    found = []
+    found, dropped = [], 0
     for q in d.queries:
-        ctx = ads.prepare(q)
-        heap = TopK(10)
-        horizontal_pruned_search(t, ids_all, ctx, ads, heap)
-        found.append(heap.result()[0])
+        (ids, _), n = _start_then_prune(t, ads.prepare(q), ads)
+        found.append(ids)
+        dropped += n
+    assert dropped > 0
     assert vecdata.recall_at_k(np.stack(found), gt_ids) >= 0.95
 
 

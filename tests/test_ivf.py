@@ -13,6 +13,7 @@ from repro.core.topk import TopK
 from repro.core.trace import NO_TRACE, Trace
 from repro.ivf import index as ivf_index
 from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
+from repro.search.horizontal import horizontal_pruned_search
 
 
 @pytest.fixture(scope="module")
@@ -169,12 +170,76 @@ def test_flat_scan_selects_once_per_query(glove_flat, monkeypatch):
         return select(*args)
 
     monkeypatch.setattr(topk, "smallest", counted)
-    monkeypatch.setattr(ivf_index, "smallest", counted)
     for nprobe in (1, 8, index.nlist):
         for q in ds.queries:
             calls.clear()
             s.search(q, 10, nprobe=nprobe, pruned=False)
             assert len(calls) == 1
+
+
+def _two_loop_search(s, query, k, *, nprobe, pruned=True):
+    """``IVFNarySearcher.search`` as two bucket loops: IVF_FLAT scores each
+    probed bucket and selects once; the pruned search merges bucket by
+    bucket (START) until the threshold is finite, then prunes."""
+    ctx, probe = s._probe(query, nprobe, NO_TRACE)
+    heap = TopK(k)
+    if not pruned:
+        buckets = [s.buckets[c] for c in probe if len(s.buckets[c][1])]
+        dists = [l2_nary(bdata, ctx.query) for bdata, _ in buckets]
+        ids = [bids for _, bids in buckets]
+        return topk.smallest(
+            np.concatenate([np.empty(0, np.int64), *ids]),
+            np.concatenate([np.empty(0), *dists]),
+            k,
+        )
+    for c in probe:
+        bdata, bids = s.buckets[c]
+        if len(bids) == 0:
+            continue
+        if np.isfinite(heap.threshold):
+            horizontal_pruned_search(bdata, bids, ctx, s.pruner, heap)
+        else:
+            heap.update(bids, l2_nary(bdata, ctx.query))
+    return heap.result()
+
+
+@pytest.fixture(scope="module")
+def small_buckets():
+    """Buckets of 2–4 vectors (one empty), fewer than k each, so START
+    spans several buckets; D = 64 gives the pruned search two Δd slices."""
+    sizes = [0] + [2, 3, 4] * 20
+    return _hand_built(sizes, 64, seed=14)
+
+
+@pytest.mark.parametrize("pruner", ["linear", "ads", "bsa", "bond"])
+@pytest.mark.parametrize("where", ["glove", "small"])
+def test_one_bucket_loop_equals_two_loops(pruner, where, glove_flat, small_buckets):
+    """The one bucket loop returns, bit for bit and in the same dtypes,
+    what the two-loop search returns: pruned and flat, at nprobe 0, 1, 3
+    and nlist, for k within and above the probed vectors."""
+    if where == "glove":
+        ds, index, _ = glove_flat
+        data, queries = ds.data, ds.queries
+    else:
+        data, index, queries = small_buckets
+        queries = queries[:10]
+    dim = data.shape[1]
+    p = {
+        "linear": lambda: Pruner(dim),
+        "ads": lambda: ADSampling(dim, seed=0),
+        "bsa": lambda: BSA(dim).fit(data),
+        "bond": lambda: PDXBond(dim),
+    }[pruner]()
+    s = IVFNarySearcher(index, data, p)
+    for nprobe in (0, 1, 3, index.nlist):
+        for k in (10, len(data) + 1):
+            for pruned in (True, False):
+                for q in queries:
+                    want_ids, want_d = _two_loop_search(s, q, k, nprobe=nprobe, pruned=pruned)
+                    ids, dists = s.search(q, k, nprobe=nprobe, pruned=pruned)
+                    assert ids.dtype == want_ids.dtype and dists.dtype == want_d.dtype
+                    np.testing.assert_array_equal(ids, want_ids)
+                    np.testing.assert_array_equal(dists, want_d)
 
 
 @pytest.mark.parametrize("pruned", [True, False])

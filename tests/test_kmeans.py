@@ -70,7 +70,7 @@ def test_kmeans_reduces_inertia():
     data = random_collection(500, 8, seed=10)
     c0 = data[np.random.default_rng(11).choice(500, 8, replace=False)]
     inertia0 = ((data - c0[assign(data, c0)]) ** 2).sum()
-    cents, labels = kmeans(data, 8, iters=10, seed=11)
+    cents, labels = kmeans(data, 8, seed=11)
     inertia = ((data - cents[labels]) ** 2).sum()
     assert inertia <= inertia0 * 1.01
 
