@@ -3,15 +3,9 @@
 Benchmarks run at SF≈0.01–0.02 (tens of thousands of vectors) so a full
 ``pytest benchmarks/ --benchmark-only`` stays in the minutes range.
 """
-import os
-import sys
+import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from repro import vecdata  # noqa: E402
+from repro import vecdata
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +21,3 @@ def bench_datasets():
         return cache[key]
 
     return get
-
-
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(0)

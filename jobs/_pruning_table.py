@@ -12,7 +12,6 @@ def run_pruning_table(
     sf: float,
     n_queries: int,
     seed: int = 0,
-    k: int = 10,
 ) -> pd.DataFrame:
     """Measured best/p50/p25/worst per dataset, interleaved with the
     paper's numbers (rows suffixed ``_paper``)."""
@@ -20,7 +19,7 @@ def run_pruning_table(
     for name in vecdata.PRUNING_STUDY_DATASETS:
         ds = vecdata.generate(name, sf=sf, n_queries=n_queries, seed=seed)
         datasets[name] = (ds.data, ds.queries)
-    measured = pruning_power_table(datasets, pruner_factory, k=k)
+    measured = pruning_power_table(datasets, pruner_factory)
     paper_frame = pd.DataFrame(paper)[measured.columns]
     out = pd.concat(
         {"measured": measured.round(1), "paper": paper_frame}, names=["source"]

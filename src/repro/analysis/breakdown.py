@@ -22,6 +22,7 @@ import numpy as np
 import pandas as pd
 
 from repro import vecdata
+from repro.analysis.paper_numbers import K
 from repro.core.pruners import ADSampling, BSA, PDXBond
 from repro.core.trace import Trace
 from repro.ivf.index import IVFIndex, IVFNarySearcher, IVFPDXSearcher, build_ivf
@@ -37,7 +38,6 @@ def tune_nprobe(
     target_recall: float,
     *,
     max_nprobe: int,
-    **search_kw,
 ) -> int:
     """Smallest power-of-two nprobe reaching the target recall.
 
@@ -46,7 +46,7 @@ def tune_nprobe(
     """
     nprobe = 1
     while nprobe < max_nprobe:
-        found = [searcher.search(q, k, nprobe=nprobe, **search_kw)[0] for q in queries]
+        found = [searcher.search(q, k, nprobe=nprobe)[0] for q in queries]
         if vecdata.recall_at_k(found, gt_ids) >= target_recall:
             return nprobe
         nprobe *= 2
@@ -85,20 +85,18 @@ def ivf_breakdown(
     *,
     sf: float = 0.004,
     n_queries: int = 20,
-    k: int = 10,
     target_recall: float = 0.95,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Run the Table 7 experiment end-to-end; returns one row per
     algorithm with total ms and per-phase shares."""
-    ds = vecdata.generate(dataset, sf=sf, n_queries=n_queries, seed=seed)
+    ds = vecdata.generate(dataset, sf=sf, n_queries=n_queries)
     x, queries = ds.data, ds.queries
     dim = ds.dim
-    gt_ids, _ = vecdata.ground_truth(x, queries, k)
-    index: IVFIndex = build_ivf(x, seed=seed)
+    gt_ids, _ = vecdata.ground_truth(x, queries, K)
+    index: IVFIndex = build_ivf(x)
 
-    ads = ADSampling(dim, seed=seed)
-    bsa = BSA(dim).fit(x, seed=seed)
+    ads = ADSampling(dim)
+    bsa = BSA(dim).fit(x)
     bond = PDXBond(dim, order="zones")
 
     pdx_ads = IVFPDXSearcher(index, x, ads)
@@ -108,9 +106,9 @@ def ivf_breakdown(
     nary_bsa = IVFNarySearcher(index, x, bsa)
 
     max_np = index.nlist
-    np_ads = tune_nprobe(pdx_ads, queries, gt_ids, k, target_recall, max_nprobe=max_np)
-    np_bsa = tune_nprobe(pdx_bsa, queries, gt_ids, k, target_recall, max_nprobe=max_np)
-    np_bond = tune_nprobe(pdx_bond, queries, gt_ids, k, target_recall, max_nprobe=max_np)
+    np_ads = tune_nprobe(pdx_ads, queries, gt_ids, K, target_recall, max_nprobe=max_np)
+    np_bsa = tune_nprobe(pdx_bsa, queries, gt_ids, K, target_recall, max_nprobe=max_np)
+    np_bond = tune_nprobe(pdx_bond, queries, gt_ids, K, target_recall, max_nprobe=max_np)
 
     runs = [
         ("N-ary ADS", nary_ads, np_ads),
@@ -120,7 +118,7 @@ def ivf_breakdown(
         ("PDX BOND", pdx_bond, np_bond),
     ]
     rows = [
-        breakdown_row(name, _run_timed(s, queries, k, nprobe), len(queries))
+        breakdown_row(name, _run_timed(s, queries, K, nprobe), len(queries))
         for name, s, nprobe in runs
     ]
     frame = pd.DataFrame(rows)

@@ -49,18 +49,17 @@ def kernel_speedups(
     dims: list[int] = DIMS,
     sizes: list[int] = SIZES,
     block_size: int = kernels.PDX_BLOCK_SIZE,
-    seed: int = 0,
     repeat: int = 5,
 ) -> pd.DataFrame:
     """Per-(dim, n) timings of N-ary vs PDX and their speedup."""
     nary_fn, pdx_fn = kernels.METRICS_NARY[metric], kernels.METRICS_PDX[metric]
     rows = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for dim in dims:
         for n in sizes:
             if n * dim > MAX_ELEMS or n % block_size:
                 continue
-            data = random_collection(n, dim, seed=seed)
+            data = random_collection(n, dim)
             stacked = stack_pdx(data, block_size)
             query = rng.standard_normal(dim).astype(np.float32)
             t_nary = best_time(lambda: nary_fn(data, query), repeat=repeat)
@@ -103,14 +102,11 @@ def table5_blocksize(
     *,
     dims: list[int] = DIMS,
     sizes: list[int] = SIZES,
-    seed: int = 0,
     repeat: int = 5,
 ) -> pd.DataFrame:
     """Average L2 speedup of PDX over N-ary per :data:`BLOCK_SIZES` entry."""
     rows = {}
     for b in BLOCK_SIZES:
-        per = kernel_speedups(
-            "l2", dims=dims, sizes=sizes, block_size=b, seed=seed, repeat=repeat
-        )
+        per = kernel_speedups("l2", dims=dims, sizes=sizes, block_size=b, repeat=repeat)
         rows[b] = _geo_mean(per["speedup"])
     return pd.DataFrame({"block_size": list(rows), "speedup": list(rows.values())})

@@ -8,6 +8,9 @@ paper's hardware inventory (documented as an environment substitution
 in EXPERIMENTS.md, nothing to measure).
 """
 
+#: The paper's K, the neighbours each query asks for, in Tables 2, 6 and 7.
+K = 10
+
 #: Table 2 — ADSampling pruning power (%), Δd=1, K=10.
 TABLE2_ADS_PRUNING = {
     "gist960": {"best": 99.7, "p50": 97.3, "p25": 96.3, "worst": 90.9},

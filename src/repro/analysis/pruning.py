@@ -21,15 +21,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.analysis.paper_numbers import K
 from repro.core.kernels import l2_cumulative
 from repro.core.layout import build_pdx
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
 
 
-def pruning_power_trace(
-    data: np.ndarray, queries: np.ndarray, pruner: Pruner, *, k: int = 10
-) -> np.ndarray:
+def pruning_power_trace(data: np.ndarray, queries: np.ndarray, pruner: Pruner) -> np.ndarray:
     """Per-query pruning power (fraction of dimension values avoided),
     over blocks of ``PDX_BLOCK_SIZE`` vectors."""
     tdata = pruner.transform_data(data)
@@ -40,7 +39,7 @@ def pruning_power_trace(
     powers = np.empty(len(queries))
     for qi, q in enumerate(queries):
         ctx = pruner.prepare(q, coll)
-        heap = TopK(k)
+        heap = TopK(K)
         scanned = 0
         for block in coll.blocks:
             cum = l2_cumulative(block.data, ctx.query, ctx.dim_order)
@@ -66,13 +65,13 @@ def power_summary(powers: np.ndarray) -> dict[str, float]:
 
 
 def pruning_power_table(
-    datasets: dict[str, tuple[np.ndarray, np.ndarray]], pruner_factory, *, k: int = 10
+    datasets: dict[str, tuple[np.ndarray, np.ndarray]], pruner_factory
 ) -> pd.DataFrame:
     """Build a Table 2/6-shaped frame: rows best/p50/p25/worst, one
     column per dataset. ``pruner_factory(dim, data) -> Pruner``."""
     cols: dict[str, dict[str, float]] = {}
     for name, (data, queries) in datasets.items():
         pruner = pruner_factory(data.shape[1], data)
-        cols[name] = power_summary(pruning_power_trace(data, queries, pruner, k=k))
+        cols[name] = power_summary(pruning_power_trace(data, queries, pruner))
     frame = pd.DataFrame(cols)
     return frame.loc[["best", "p50", "p25", "worst"]]

@@ -10,8 +10,9 @@ vectors' squared norms, for the certified full scan
 
 A :class:`PDXCollection` is an ordered list of blocks over a collection
 (a horizontal partition for exact search) plus collection-level
-dimension means. :func:`join_blocks` makes one block of several, by
-column concatenation (IVF's probed buckets, a Spark partition's rows).
+dimension means; all means are accumulated in float64. :func:`build_pdx`
+makes every block and collection (Spark's too); :func:`join_blocks`
+makes one block of several, by column concatenation (IVF's buckets).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class PDXBlock:
     @property
     def means(self) -> np.ndarray:
         """(D,) float32 per-dimension means of this block."""
-        return self.data.mean(axis=1).astype(np.float32)
+        return self.data.mean(axis=1, dtype=np.float64).astype(np.float32)
 
     @property
     def n(self) -> int:
@@ -54,12 +55,11 @@ class PDXCollection:
     """
 
     blocks: list[PDXBlock]
-    dim: int
     dim_means: np.ndarray  # (D,) collection-level means (exact-search BOND)
 
     @property
-    def n(self) -> int:
-        return sum(b.n for b in self.blocks)
+    def dim(self) -> int:
+        return len(self.dim_means)
 
 
 #: Rows transposed at a time: a chunk of 256 vectors is read and written
@@ -81,7 +81,7 @@ def build_pdx(
     *,
     block_size: int | Sequence[int] = PDX_BLOCK_SIZE,
 ) -> PDXCollection:
-    """Partition ``data`` (N, D) row-major into PDX blocks.
+    """Partition the (N, D) vectors ``data`` into PDX blocks.
 
     ``block_size`` is one size, for equal blocks of which the last may be
     ragged, or the size of each block in turn, summing to N. Vectors keep
@@ -100,20 +100,16 @@ def build_pdx(
     if ids.shape != (n,):
         raise ValueError(f"ids shape {ids.shape} != ({n},)")
     data = data.astype(np.float32, copy=False)
-    norms = squared_norms(data)  # one call: per-block calls cost more on small blocks
     blocks: list[PDXBlock] = []
     stop = 0
     for size in block_size:
         start, stop = stop, stop + size
-        blocks.append(
-            PDXBlock(
-                data=_transpose(data[start:stop]),
-                ids=ids[start:stop].copy(),
-                norms=norms[start:stop],
-            )
-        )
-    means = data.mean(axis=0) if n else np.zeros(d)
-    return PDXCollection(blocks=blocks, dim=d, dim_means=means.astype(np.float32))
+        dm = _transpose(data[start:stop])
+        # From the block's own buffer: the norms do not depend on how
+        # ``data`` is laid out in memory, which sets einsum's summation order.
+        blocks.append(PDXBlock(data=dm, ids=ids[start:stop].copy(), norms=squared_norms(dm.T)))
+    means = data.mean(axis=0, dtype=np.float64) if n else np.zeros(d)
+    return PDXCollection(blocks=blocks, dim_means=means.astype(np.float32))
 
 
 def join_blocks(blocks: Sequence[PDXBlock]) -> PDXBlock:

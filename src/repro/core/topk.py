@@ -54,10 +54,11 @@ class TopK:
         """Merge a batch of candidates (block survivors) into the top-k."""
         if len(ids) == 0:
             return
+        if len(self._ids):
+            ids, dists = np.concatenate([self._ids, ids]), np.concatenate([self._dists, dists])
         # Kept sorted by (distance, id): O(1) threshold, deterministic ties.
-        self._ids, self._dists = smallest(
-            np.concatenate([self._ids, ids]), np.concatenate([self._dists, dists]), self.k
-        )
+        # ``smallest`` returns new arrays, so the heap never aliases a batch.
+        self._ids, self._dists = smallest(ids, dists, self.k)
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(ids, dists)`` sorted ascending by distance, then id."""

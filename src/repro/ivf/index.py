@@ -114,7 +114,7 @@ class _IVFSearcher:
         self.index = index
         self.pruner = pruner
         tdata = pruner.transform_data(data)  # first: BSA fits on the data
-        self.dim_means = tdata.mean(axis=0).astype(np.float32)
+        self.dim_means = tdata.mean(axis=0, dtype=np.float64).astype(np.float32)
         self._store(tdata, pruner.transform_data(index.centroids))
 
     def _probe(

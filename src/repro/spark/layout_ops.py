@@ -14,8 +14,8 @@ round-trippable. The heavy lifting is an ``applyInPandas`` group
 transform — each group becomes exactly one block row, transposed with
 NumPy inside the executor. ADS/BSA tables are built from vectors that
 are already in the pruner's transformed space (``pruner.transform_data``
-before ``vecdata.to_spark``). ``rows_to_pdx_blocks`` turns block rows
-back into ``PDXBlock`` objects on the executor.
+before ``vecdata.to_spark``). On the executor ``rows_to_vectors`` decodes
+block rows for :func:`~repro.core.layout.build_pdx` to lay out again.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.kernels import PDX_BLOCK_SIZE, squared_norms
-from repro.core.layout import PDXBlock
+from repro.core.kernels import PDX_BLOCK_SIZE
+from repro.core.layout import PDXBlock, build_pdx
 
 BLOCK_SCHEMA = "block_id long, n int, ids array<long>, data array<double>"
 
@@ -51,11 +51,16 @@ def vectors_to_blocks(df: DataFrame) -> DataFrame:
     return with_block.groupBy("block_id").applyInPandas(make_block, BLOCK_SCHEMA)
 
 
+def rows_to_vectors(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, D) float32 vectors and (N,) int64 ids of block rows, in row
+    order. The vectors are a transposed (D, N) buffer, which ``build_pdx``
+    copies into its dimension-major blocks a dimension at a time."""
+    parts = [np.asarray(data).reshape(-1, n) for n, data in zip(pdf["n"], pdf["data"])]
+    dm = np.concatenate(parts, axis=1, dtype=np.float32)  # cast while copying, once
+    return dm.T, np.concatenate(pdf["ids"].tolist())
+
+
 def rows_to_pdx_blocks(pdf: pd.DataFrame) -> list[PDXBlock]:
-    """Reconstruct executor-side :class:`PDXBlock`s from block rows."""
-    blocks = []
-    for n, data, ids in zip(pdf["n"], pdf["data"], pdf["ids"]):
-        dm = np.asarray(data, dtype=np.float32).reshape(-1, n)
-        ids = np.asarray(ids, dtype=np.int64)
-        blocks.append(PDXBlock(data=dm, ids=ids, norms=squared_norms(dm.T)))
-    return blocks
+    """Rebuild the :class:`PDXBlock` of each block row on the executor."""
+    vectors, ids = rows_to_vectors(pdf)
+    return build_pdx(vectors, ids, block_size=pdf["n"].tolist()).blocks

@@ -3,8 +3,8 @@
 The paper's contribution is a physical layout + scan operator, below
 the relational layer — so per the layering rule it is expressed as a
 ``mapInPandas`` physical transformation rather than a Catalyst rule
-(DESIGN.md §2): each executor partition gathers its PDX block rows into
-one ``PDXCollection``, laid out in the growing units of exact search
+(DESIGN.md §2): each executor partition lays its PDX block rows out
+again with one ``build_pdx`` call, in the growing units of exact search
 (:func:`~repro.search.exact.exact_unit_sizes`), and runs every query
 through the *same* ``pdxearch`` used in ``repro.core``, so the pruning
 threshold propagates unit to unit exactly as in §4, and PDX-BOND's
@@ -28,32 +28,26 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.layout import PDXBlock, PDXCollection, join_blocks
+from repro.core.layout import build_pdx
 from repro.core.pdxearch import pdxearch
 from repro.core.pruners import Pruner
 from repro.search.exact import exact_unit_sizes
-from repro.spark.layout_ops import rows_to_pdx_blocks
+from repro.spark.layout_ops import rows_to_vectors
 
 
 def search_partition(
     batches: Iterator[pd.DataFrame], queries: np.ndarray, k: int, pruner: Pruner
 ) -> Iterator[pd.DataFrame]:
     """The ``knn`` executor: PDXearch every query over one partition. The
-    block rows of all its Arrow batches are laid out again in the units of
-    exact search (:func:`~repro.search.exact.exact_unit_sizes`), with
-    ``dim_means`` over every vector of the partition. Yields one
-    ``(qid, id, dist)`` frame, or nothing for an empty partition."""
-    blocks = [b for pdf in batches for b in rows_to_pdx_blocks(pdf)]
-    if not blocks:
+    block rows of all its Arrow batches are laid out again by ``build_pdx``
+    in the units of exact search, with ``dim_means`` over every vector of
+    the partition. Yields one ``(qid, id, dist)`` frame, or nothing for an
+    empty partition."""
+    frames = [pdf for pdf in batches if len(pdf)]
+    if not frames:
         return
-    whole = join_blocks(blocks)
-    stops = np.cumsum(exact_unit_sizes(whole.n))
-    units = [
-        PDXBlock(np.ascontiguousarray(whole.data[:, a:b]), whole.ids[a:b], whole.norms[a:b])
-        for a, b in zip([0, *stops[:-1]], stops)
-    ]
-    means = whole.data.mean(axis=1, dtype=np.float64).astype(np.float32)
-    coll = PDXCollection(blocks=units, dim=whole.dim, dim_means=means)
+    vectors, ids = rows_to_vectors(pd.concat(frames))
+    coll = build_pdx(vectors, ids, block_size=exact_unit_sizes(len(ids)))
     rows = {"qid": [], "id": [], "dist": []}
     for qi, q in enumerate(queries):
         ids, dists = pdxearch(coll, q, k, pruner)

@@ -21,7 +21,7 @@ def test_build_roundtrip(n, block):
     back, ids = _to_rows(coll)
     np.testing.assert_array_equal(back, data)
     np.testing.assert_array_equal(ids, np.arange(n))
-    assert coll.n == n
+    assert sum(b.n for b in coll.blocks) == n
 
 
 def test_block_shapes_and_contiguity():
@@ -80,7 +80,8 @@ def test_block_means_metadata():
 def test_collection_dim_means():
     data = random_collection(200, 8, seed=5)
     coll = layout.build_pdx(data)
-    np.testing.assert_allclose(coll.dim_means, data.mean(axis=0), rtol=1e-4, atol=1e-5)
+    want = data.mean(axis=0, dtype=np.float64).astype(np.float32)
+    np.testing.assert_array_equal(coll.dim_means, want)
 
 
 def test_block_norms_are_squared_norms():
@@ -98,7 +99,7 @@ def test_empty_collection_builds_without_warnings(block):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coll = layout.build_pdx(np.empty((0, 6), dtype=np.float32), block_size=block)
-    assert coll.n == 0 and coll.dim == 6
+    assert sum(b.n for b in coll.blocks) == 0 and coll.dim == 6
     np.testing.assert_array_equal(coll.dim_means, np.zeros(6, dtype=np.float32))
     for b in coll.blocks:
         assert b.data.shape == (6, 0) and b.norms.shape == (0,)

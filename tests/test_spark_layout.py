@@ -33,8 +33,9 @@ def test_blocks_match_local_build(ds, blocks_pdf):
     assert len(local.blocks) == len(remote)
     for lb, rb in zip(local.blocks, remote):
         np.testing.assert_array_equal(lb.ids, rb.ids)
-        np.testing.assert_allclose(lb.data, rb.data, rtol=1e-6)
-        np.testing.assert_allclose(lb.means, rb.means, rtol=1e-4, atol=1e-5)
+        np.testing.assert_array_equal(lb.data, rb.data)
+        np.testing.assert_array_equal(lb.norms, rb.norms)
+        np.testing.assert_array_equal(lb.means, rb.means)
 
 
 def test_block_data_dimension_major(ds, blocks_pdf):

@@ -1,4 +1,5 @@
-"""Every public top-level name in ``src/repro`` has a caller outside tests.
+"""Every public top-level name in ``src/repro`` has a caller outside tests,
+and ``core/layout.py`` is the one module that builds PDX blocks.
 
 A name counts as used when it appears in code (not in a docstring) under
 ``src/``, ``jobs/``, ``benchmarks/`` or ``perfbench/`` as a loaded
@@ -54,3 +55,20 @@ def test_every_public_name_has_a_non_test_caller():
         if name not in used
     ]
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+def test_only_the_layout_module_constructs_pdx_units():
+    """Every ``PDXBlock`` and ``PDXCollection`` comes from ``build_pdx`` or
+    ``join_blocks``, so all units share one way of laying out vectors and
+    computing their norms and dimension means."""
+    layout = ROOT / "src" / "repro" / "core" / "layout.py"
+    builders = {"PDXBlock", "PDXCollection"}
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path != layout
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders
+    ]
+    assert not calls, f"PDX units built outside core/layout.py: {calls}"

@@ -82,3 +82,19 @@ def test_smallest_rejects_negative_k():
     dists = np.random.default_rng(0).random(100)
     with pytest.raises(ValueError):
         smallest(np.arange(100), dists, -1)
+
+
+def test_update_into_empty_heap_selects_from_the_batch():
+    """A first update selects like ``smallest`` and keeps its own copy:
+    later writes to the caller's arrays do not reach the heap."""
+    rng = np.random.default_rng(3)
+    ids, dists = rng.permutation(50).astype(np.int64), rng.random(50)
+    dists[7] = dists[3]  # a tie, decided by id
+    h = TopK(5)
+    h.update(ids, dists)
+    want_ids, want_d = smallest(ids, dists, 5)
+    ids[:], dists[:] = -1, -1.0
+    got_ids, got_d = h.result()
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_d, want_d)
+    assert h.threshold == want_d[-1]
